@@ -1,5 +1,6 @@
-//! Store-eviction benchmark: replays real query-store traffic under each
-//! registered eviction policy and reports hit-rate degradation curves.
+//! Store-eviction benchmark: replays real query-store traffic into stores
+//! capped at shrinking entry budgets and reports the hit-rate degradation
+//! curve of the store's namespace LRU.
 //!
 //! Three phases:
 //!
@@ -11,8 +12,8 @@
 //!    daemon sees.
 //! 2. **Replay** — the captured event stream is replayed into fresh
 //!    bounded stores at shrinking entry caps (fractions of the uncapped
-//!    peak), once per eviction policy.  The store-lookup hit rate at each
-//!    cap, relative to the uncapped baseline, is the degradation curve.
+//!    peak).  The store-lookup hit rate at each cap, relative to the
+//!    uncapped baseline, is the degradation curve.
 //! 3. **Durability pin** — an LRU campaign is learned cold through a
 //!    durable store, then again warm after a reopen: the state and
 //!    membership-query counts must be byte-identical to the in-memory
@@ -23,8 +24,7 @@
 //! The report lands under the `store` key of `BENCH_store.json`.
 //!
 //! Usage:
-//!   storebench [--assoc N] [--ways N] [--json PATH] [--baseline PATH]
-//!              [--smoke]
+//!   storebench [--assoc N] [--json PATH] [--baseline PATH] [--smoke]
 //!
 //! `--smoke` shrinks the run for CI: associativity 2, two capture
 //! policies, three curve points.
@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use bench::{merge_report, Args, TextTable};
 use cache::HitMiss;
-use cachequery::{PolicyEvictor, QueryEngine, QueryStore, StoreOptions, StoreTap};
+use cachequery::{QueryEngine, QueryStore, StoreOptions, StoreTap};
 use mbl::{expand_query, render_query, Query};
 use polca::{learn_policy, CacheQueryOracle, LearnSetup, PolicySimBackend};
 use policies::PolicyKind;
@@ -121,7 +121,7 @@ fn capture(kinds: &[PolicyKind], assoc: usize) -> (Vec<Event>, Vec<String>, u64)
     // Revisit pass: walk the namespaces round-robin, re-looking-up every
     // 16th recorded query.  A long-lived daemon sees exactly this shape —
     // old campaigns queried again while new ones run — and it is what a
-    // bad eviction policy gets wrong.
+    // tight cap costs.
     let recorded: Vec<(String, Query)> = {
         let names = tap.names.lock().unwrap();
         let mut by_id: Vec<&String> = names.keys().collect();
@@ -167,9 +167,9 @@ fn capture(kinds: &[PolicyKind], assoc: usize) -> (Vec<Event>, Vec<String>, u64)
 /// Interleaves the capture stream across namespaces in deterministic,
 /// unevenly-sized bursts.  Capture runs the campaigns back to back; a live
 /// daemon runs them concurrently, with some campaigns bursting while
-/// others idle — and that skewed interleaving is what separates good
-/// eviction policies from bad ones at a tight cap.  A fixed LCG drives the
-/// schedule so every replay sees the identical stream.
+/// others idle, so recency across namespaces is what a tight cap tests.
+/// A fixed LCG drives the schedule so every replay sees the identical
+/// stream.
 fn interleave(events: Vec<Event>, namespaces: usize) -> Vec<Event> {
     let mut queues: Vec<std::collections::VecDeque<Event>> = (0..namespaces)
         .map(|_| std::collections::VecDeque::new())
@@ -222,18 +222,11 @@ impl Point {
     }
 }
 
-/// Replays the captured stream into a fresh store capped at `cap` entries
-/// under `evictor`; `None` replays uncapped (the baseline).
-fn replay(
-    events: &[Event],
-    names: &[String],
-    cap: Option<u64>,
-    evictor: Option<PolicyEvictor>,
-    cap_permille: u32,
-) -> Point {
+/// Replays the captured stream into a fresh store capped at `cap` entries;
+/// `None` replays uncapped (the baseline).
+fn replay(events: &[Event], names: &[String], cap: Option<u64>, cap_permille: u32) -> Point {
     let store = QueryStore::with_options(StoreOptions {
         max_entries: cap,
-        evictor: evictor.map(|e| Box::new(e) as _),
         ..StoreOptions::default()
     })
     .expect("a memory-only store performs no I/O");
@@ -345,11 +338,6 @@ fn main() {
     let args = Args::from_env();
     let smoke = args.has_flag("smoke");
     let assoc = args.value_or("assoc", if smoke { 2usize } else { 4 });
-    // 0 = auto: as many ways as captured namespaces.  The paper's policy
-    // machines model *full* sets — with empty ways the victim scan
-    // degenerates and every policy picks the same nearest-resident way, so
-    // a meaningful comparison needs full occupancy.
-    let ways = args.value_or("ways", 0usize);
     let json_path = args.value_of("json").unwrap_or("BENCH_store.json");
     let baseline_path = args.value_of("baseline").unwrap_or(DEFAULT_BASELINE);
 
@@ -369,12 +357,6 @@ fn main() {
     } else {
         &[1000, 750, 500, 250, 125]
     };
-    let evictors = [
-        PolicyKind::Lru,
-        PolicyKind::SrripHp,
-        PolicyKind::Lip,
-        PolicyKind::Fifo,
-    ];
 
     println!(
         "storebench: capturing {} campaigns at associativity {assoc}",
@@ -383,7 +365,6 @@ fn main() {
     let capture_start = Instant::now();
     let (events, names, peak) = capture(&kinds, assoc);
     let events = interleave(events, names.len());
-    let ways = if ways == 0 { names.len() } else { ways };
     let lookups = events
         .iter()
         .filter(|e| matches!(e, Event::Lookup { .. }))
@@ -401,36 +382,22 @@ fn main() {
     );
     println!();
 
-    let baseline_point = replay(&events, &names, None, None, 1000);
+    let baseline_point = replay(&events, &names, None, 1000);
     let baseline_rate = baseline_point.hit_rate();
 
-    let mut table = TextTable::new(&[
-        "Evictor",
-        "Cap",
-        "Cap %",
-        "Hit rate",
-        "Degradation",
-        "Evictions",
-    ]);
-    let mut curves: Vec<(String, Vec<Point>)> = Vec::new();
-    for kind in evictors {
-        let mut points = Vec::new();
-        for &permille in caps_permille {
-            let cap = (peak * u64::from(permille) / 1000).max(1);
-            let evictor = PolicyEvictor::of_kind(kind, ways)
-                .unwrap_or_else(|e| panic!("evictor {kind}@{ways}: {e}"));
-            let point = replay(&events, &names, Some(cap), Some(evictor), permille);
-            table.add_row(&[
-                format!("{kind}@{ways}"),
-                cap.to_string(),
-                format!("{:.1}", f64::from(permille) / 10.0),
-                format!("{:.4}", point.hit_rate()),
-                format!("{:+.2}%", (point.hit_rate() - baseline_rate) * 100.0),
-                point.evictions.to_string(),
-            ]);
-            points.push(point);
-        }
-        curves.push((format!("{kind}@{ways}"), points));
+    let mut table = TextTable::new(&["Cap", "Cap %", "Hit rate", "Degradation", "Evictions"]);
+    let mut curve = Vec::new();
+    for &permille in caps_permille {
+        let cap = (peak * u64::from(permille) / 1000).max(1);
+        let point = replay(&events, &names, Some(cap), permille);
+        table.add_row(&[
+            cap.to_string(),
+            format!("{:.1}", f64::from(permille) / 10.0),
+            format!("{:.4}", point.hit_rate()),
+            format!("{:+.2}%", (point.hit_rate() - baseline_rate) * 100.0),
+            point.evictions.to_string(),
+        ]);
+        curve.push(point);
     }
     print!("{}", table.render());
     println!();
@@ -492,35 +459,19 @@ fn main() {
             ]),
         ),
         (
-            "curves",
+            "curve",
             Json::Arr(
-                curves
+                curve
                     .iter()
-                    .map(|(evictor, points)| {
+                    .map(|p| {
                         Json::obj(vec![
-                            ("evictor", Json::str(evictor.clone())),
-                            (
-                                "points",
-                                Json::Arr(
-                                    points
-                                        .iter()
-                                        .map(|p| {
-                                            Json::obj(vec![
-                                                ("cap", Json::num(p.cap)),
-                                                (
-                                                    "cap_permille",
-                                                    Json::num(u64::from(p.cap_permille)),
-                                                ),
-                                                ("hits", Json::num(p.hits)),
-                                                ("misses", Json::num(p.misses)),
-                                                ("hit_rate", Json::Num(p.hit_rate())),
-                                                ("evictions", Json::num(p.evictions)),
-                                                ("time_ms", Json::Num(p.time_ms)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
+                            ("cap", Json::num(p.cap)),
+                            ("cap_permille", Json::num(u64::from(p.cap_permille))),
+                            ("hits", Json::num(p.hits)),
+                            ("misses", Json::num(p.misses)),
+                            ("hit_rate", Json::Num(p.hit_rate())),
+                            ("evictions", Json::num(p.evictions)),
+                            ("time_ms", Json::Num(p.time_ms)),
                         ])
                     })
                     .collect(),

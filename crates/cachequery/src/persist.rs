@@ -176,20 +176,26 @@ pub fn read_snapshot(dir: &Path) -> io::Result<Option<String>> {
     }
 }
 
-/// Writes `text` as the compacted snapshot of `dir`, atomically: the bytes
-/// go to a temp file, are fsynced, and replace the previous snapshot in one
-/// rename, so a crash mid-snapshot leaves the old snapshot intact.
+/// Writes the compacted snapshot of `dir`, atomically: `fill` streams the
+/// bytes to a buffered temp file, which is fsynced and replaces the previous
+/// snapshot in one rename, so a crash mid-snapshot leaves the old snapshot
+/// intact.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors.
-pub fn write_snapshot(dir: &Path, text: &str) -> io::Result<()> {
+/// Propagates I/O errors, including those `fill` returns.
+pub fn write_snapshot(
+    dir: &Path,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let tmp = dir.join(SNAP_TMP);
     {
-        let mut file = File::create(&tmp)?;
-        file.write_all(text.as_bytes())?;
-        file.sync_data()?;
+        let mut file = io::BufWriter::new(File::create(&tmp)?);
+        fill(&mut file)?;
+        file.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_data()?;
     }
     fs::rename(&tmp, snapshot_path(dir))?;
     // Make the rename itself durable where the platform allows syncing a
@@ -261,9 +267,9 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         assert_eq!(read_snapshot(&dir).unwrap(), None);
-        write_snapshot(&dir, "ns\tH\tA?\n").unwrap();
+        write_snapshot(&dir, |out| out.write_all(b"ns\tH\tA?\n")).unwrap();
         assert_eq!(read_snapshot(&dir).unwrap().as_deref(), Some("ns\tH\tA?\n"));
-        write_snapshot(&dir, "ns\tM\tB?\n").unwrap();
+        write_snapshot(&dir, |out| out.write_all(b"ns\tM\tB?\n")).unwrap();
         assert_eq!(read_snapshot(&dir).unwrap().as_deref(), Some("ns\tM\tB?\n"));
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -42,14 +42,12 @@
 //! # Bounded memory
 //!
 //! A store configured with [`StoreOptions::max_entries`] evicts at
-//! *namespace granularity*: when the global entry count exceeds the cap, a
-//! pluggable [`EvictionPolicy`] — by default an LRU simulator from
-//! [`policies`], driven by namespace-touch events — names a victim namespace
-//! whose trie is cleared in place.  Existing [`StoreSpace`] handles stay
-//! valid and simply miss afterwards; the namespace refills on use.  Eviction
-//! is thereby self-referential in the CacheQuery sense: the replacement
-//! policies this system learns and simulates also decide what the system
-//! itself forgets.
+//! *namespace granularity*: when the global entry count exceeds the cap,
+//! the least recently touched other namespace (every lookup or recording
+//! touches its namespace) has its trie cleared in place, and the namespace
+//! being touched is cleared only when nothing else is left.  Existing
+//! [`StoreSpace`] handles stay valid and simply miss afterwards; the
+//! namespace refills on use.
 //!
 //! One [`QueryStore`] instance sits behind every [`QueryEngine`]
 //! (crate::QueryEngine); engines that should share answers (the `cqd`
@@ -66,7 +64,6 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
 use cache::HitMiss;
 use learning::QueryCache;
 use mbl::{expand_query, render_query, MemOp, Query, Tag};
-use policies::{KeyedPolicy, PolicyError, PolicyKind, ReplacementPolicy};
 
 use crate::persist;
 
@@ -75,124 +72,12 @@ use crate::persist;
 /// invalidating operations).
 type Space = QueryCache<MemOp, Option<HitMiss>>;
 
-/// Chooses which namespace a bounded [`QueryStore`] forgets when it exceeds
-/// its entry cap.
-///
-/// The store drives the policy with namespace-*touch* events (every lookup
-/// or recording against a namespace touches it) and asks for a victim when
-/// over the cap.  [`PolicyEvictor`] adapts any registered replacement-policy
-/// simulator to this interface; custom strategies only need these four
-/// methods.
-pub trait EvictionPolicy: Send + std::fmt::Debug {
-    /// Records an access to `namespace` (insertion into tracking, or a
-    /// promotion if already tracked).
-    fn touch(&mut self, namespace: &str);
-
-    /// Names one tracked namespace to discard, removing it from tracking.
-    /// `None` when nothing is tracked.
-    fn victim(&mut self) -> Option<String>;
-
-    /// Drops `namespace` from tracking without an eviction (the store
-    /// cleared it for another reason).
-    fn forget(&mut self, namespace: &str);
-
-    /// Display name of the strategy (e.g. `LRU`).
-    fn name(&self) -> &'static str;
-}
-
-/// An [`EvictionPolicy`] backed by a replacement-policy simulator from
-/// [`policies`]: the namespaces currently tracked are the "lines" of one
-/// cache set, and the policy's victim selection decides which namespace the
-/// store forgets.
-///
-/// The tracking associativity bounds how many namespaces the policy can
-/// distinguish, not how many the store may hold — untracked namespaces are
-/// still evictable through the store's fallback scan.
-#[derive(Debug)]
-pub struct PolicyEvictor {
-    tracked: KeyedPolicy<String>,
-}
-
-/// Tracking associativity of [`PolicyEvictor::default`] (LRU@16): wider than
-/// any realistic concurrent-campaign namespace count, narrow enough that the
-/// linear way scan stays cheap.
-pub const DEFAULT_EVICTOR_WAYS: usize = 16;
-
-impl PolicyEvictor {
-    /// Wraps an explicit policy instance; tracking capacity is the policy's
-    /// associativity.
-    pub fn new(policy: Box<dyn ReplacementPolicy>) -> Self {
-        PolicyEvictor {
-            tracked: KeyedPolicy::new(policy),
-        }
-    }
-
-    /// Builds an evictor from a registered policy kind at `ways` tracking
-    /// associativity.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the kind does not support `ways` (e.g. PLRU at a
-    /// non-power-of-two).
-    pub fn of_kind(kind: PolicyKind, ways: usize) -> Result<Self, PolicyError> {
-        Ok(PolicyEvictor::new(kind.build(ways)?))
-    }
-
-    /// Parses an evictor spec of the form `POLICY` or `POLICY@WAYS` (e.g.
-    /// `lru`, `srrip-fp@8`) — the grammar of `cqd --store-evict`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for unknown policies, malformed way
-    /// counts and unsupported associativities.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        let (name, ways) = match spec.split_once('@') {
-            None => (spec, DEFAULT_EVICTOR_WAYS),
-            Some((name, ways)) => (
-                name,
-                ways.parse::<usize>()
-                    .map_err(|_| format!("invalid way count in eviction spec '{spec}'"))?,
-            ),
-        };
-        let kind: PolicyKind = name.parse().map_err(|e| format!("{e}"))?;
-        PolicyEvictor::of_kind(kind, ways).map_err(|e| e.to_string())
-    }
-}
-
-impl Default for PolicyEvictor {
-    fn default() -> Self {
-        PolicyEvictor::of_kind(PolicyKind::Lru, DEFAULT_EVICTOR_WAYS)
-            .expect("LRU supports every associativity")
-    }
-}
-
-impl EvictionPolicy for PolicyEvictor {
-    fn touch(&mut self, namespace: &str) {
-        // A displaced key here only falls out of *tracking* (the policy can
-        // distinguish at most `ways` namespaces); the store's fallback scan
-        // keeps untracked namespaces evictable.
-        self.tracked.touch(namespace.to_string());
-    }
-
-    fn victim(&mut self) -> Option<String> {
-        self.tracked.evict()
-    }
-
-    fn forget(&mut self, namespace: &str) {
-        self.tracked.forget(&namespace.to_string());
-    }
-
-    fn name(&self) -> &'static str {
-        self.tracked.policy_name()
-    }
-}
-
 /// Observer of a store's traffic, attached at construction via
 /// [`StoreOptions::tap`].
 ///
 /// The tap sees every lookup (with its hit/miss fate) and every successful
 /// recording — the event stream `storebench` captures from a live campaign
-/// and replays against capped stores to measure eviction-policy degradation.
+/// and replays against capped stores to measure hit-rate degradation.
 /// A store without a tap pays one `Option` check per operation.
 pub trait StoreTap: Send + Sync + std::fmt::Debug {
     /// A lookup in `namespace`; `hit` is whether it was served from memory.
@@ -210,12 +95,9 @@ pub struct StoreOptions {
     /// Directory for the record log and snapshots; `None` keeps the store
     /// memory-only.
     pub dir: Option<PathBuf>,
-    /// Global entry (trie node) cap; `None` leaves the store unbounded.
+    /// Global entry (trie node) cap, enforced by evicting the least
+    /// recently touched namespace; `None` leaves the store unbounded.
     pub max_entries: Option<u64>,
-    /// Eviction strategy for a bounded store; defaults to
-    /// [`PolicyEvictor::default`] (LRU@16).  Ignored when `max_entries` is
-    /// `None`.
-    pub evictor: Option<Box<dyn EvictionPolicy>>,
     /// Traffic observer (see [`StoreTap`]).
     pub tap: Option<Arc<dyn StoreTap>>,
     /// Depth of the bounded channel feeding the writer thread.  When the
@@ -231,7 +113,6 @@ impl Default for StoreOptions {
         StoreOptions {
             dir: None,
             max_entries: None,
-            evictor: None,
             tap: None,
             queue_depth: 1024,
             compact_bytes: 4 << 20,
@@ -485,11 +366,19 @@ struct Persist {
     replayed: u64,
 }
 
-/// The entry cap and its eviction strategy.
+/// The entry cap and the namespace recency it evicts by.
 #[derive(Debug)]
 struct Bound {
     max_entries: u64,
-    evictor: Mutex<Box<dyn EvictionPolicy>>,
+    recency: Mutex<Recency>,
+}
+
+/// Last-touch stamps of a bounded store's namespaces: a logical clock that
+/// ticks on every touch, and the tick each namespace was last touched at.
+#[derive(Debug, Default)]
+struct Recency {
+    clock: u64,
+    stamps: HashMap<String, u64>,
 }
 
 /// Shared state behind a [`QueryStore`] and all its [`StoreSpace`] handles.
@@ -527,23 +416,42 @@ impl Default for StoreInner {
 }
 
 impl StoreInner {
-    /// Serializes every namespace to the tab-separated export format (also
-    /// used by the writer thread for compaction).
-    fn export(&self) -> String {
-        let spaces = self.spaces.read().unwrap_or_else(PoisonError::into_inner);
-        let mut lines: Vec<String> = Vec::new();
-        for (namespace, space) in spaces.iter() {
-            for (query, outputs) in space.maximal_entries() {
+    /// Writes every namespace in the tab-separated export format (also used
+    /// by the writer thread for compaction): all lines in sorted order,
+    /// separated by newlines.  Only one namespace's lines are held in memory
+    /// at a time, so a snapshot costs about the largest namespace, not a
+    /// second copy of the whole store.
+    fn export_to(&self, out: &mut dyn io::Write) -> io::Result<()> {
+        // Every line starts `namespace \t`, so ordering namespaces by that
+        // prefix and each namespace's lines by their rest sorts the lines.
+        let mut spaces: Vec<(String, Arc<Space>)> = self
+            .spaces
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|(namespace, space)| (format!("{namespace}\t"), Arc::clone(space)))
+            .collect();
+        spaces.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut separator: &[u8] = b"";
+        for (prefix, space) in &spaces {
+            let mut lines: Vec<String> = Vec::new();
+            space.for_each_maximal(|query, outputs| {
                 let pattern: String = outputs
                     .iter()
                     .flatten()
                     .map(|o| if *o == HitMiss::Hit { 'H' } else { 'M' })
                     .collect();
-                lines.push(format!("{namespace}\t{pattern}\t{}", render_query(&query)));
+                lines.push(format!("{pattern}\t{}", render_query(&query.to_vec())));
+            });
+            lines.sort_unstable();
+            for line in &lines {
+                out.write_all(separator)?;
+                out.write_all(prefix.as_bytes())?;
+                out.write_all(line.as_bytes())?;
+                separator = b"\n";
             }
         }
-        lines.sort();
-        lines.join("\n")
+        Ok(())
     }
 
     /// Hands one export line to the writer thread; never blocks — a full
@@ -567,60 +475,42 @@ impl StoreInner {
         }
     }
 
-    /// Touches `namespace` on the eviction policy and enforces the entry cap
-    /// (no-op for unbounded stores).
+    /// Stamps `namespace` as the most recently touched and enforces the
+    /// entry cap (no-op for unbounded stores).
     fn note_touch(&self, namespace: &str) {
         let Some(bound) = &self.bound else {
             return;
         };
-        let mut evictor = bound.evictor.lock().unwrap_or_else(PoisonError::into_inner);
-        evictor.touch(namespace);
+        let mut recency = bound.recency.lock().unwrap_or_else(PoisonError::into_inner);
+        recency.clock += 1;
+        let clock = recency.clock;
+        match recency.stamps.get_mut(namespace) {
+            Some(stamp) => *stamp = clock,
+            None => {
+                recency.stamps.insert(namespace.to_string(), clock);
+            }
+        }
         while self.total_entries.load(Ordering::Relaxed) > bound.max_entries {
-            if !self.evict_one(namespace, evictor.as_mut()) {
+            if !self.evict_one(namespace, &recency) {
                 break;
             }
         }
     }
 
-    /// Clears one victim namespace; returns whether any entries were freed.
-    ///
-    /// The policy's candidates are tried first (each rejected candidate has
-    /// already been dropped from tracking, so the loop terminates); when the
-    /// policy runs dry the store falls back to any other resident namespace,
-    /// and as a last resort clears `current` itself (the cap is smaller than
-    /// one campaign's working set).
-    fn evict_one(&self, current: &str, evictor: &mut dyn EvictionPolicy) -> bool {
-        let mut popped_current = false;
-        loop {
-            match evictor.victim() {
-                Some(name) if name == current => popped_current = true,
-                Some(name) => {
-                    if self.clear_namespace(&name) {
-                        if popped_current {
-                            evictor.touch(current);
-                        }
-                        return true;
-                    }
-                }
-                None => break,
-            }
-        }
-        let fallback = {
+    /// Clears the least recently touched namespace other than `current`
+    /// that holds entries; `current` itself only when no other namespace
+    /// does (the cap is smaller than one campaign's working set).  Returns
+    /// whether any entries were freed.
+    fn evict_one(&self, current: &str, recency: &Recency) -> bool {
+        let victim = {
             let spaces = self.spaces.read().unwrap_or_else(PoisonError::into_inner);
             spaces
                 .iter()
-                .find(|(name, space)| name.as_str() != current && space.entries() > 0)
+                .filter(|(name, space)| name.as_str() != current && space.entries() > 0)
+                .min_by_key(|(name, _)| recency.stamps.get(name.as_str()).copied().unwrap_or(0))
                 .map(|(name, _)| name.clone())
         };
-        if let Some(name) = fallback {
-            if popped_current {
-                evictor.touch(current);
-            }
-            if self.clear_namespace(&name) {
-                return true;
-            }
-        }
-        self.clear_namespace(current)
+        self.clear_namespace(victim.as_deref().unwrap_or(current))
     }
 
     /// Clears `namespace`'s trie in place (handles stay valid; subsequent
@@ -648,7 +538,7 @@ impl StoreInner {
 /// through.  [`QueryStore::new`] is memory-only and unbounded;
 /// [`QueryStore::open`] adds the durable record log, and
 /// [`QueryStore::with_options`] additionally bounds memory with
-/// policy-driven eviction.
+/// least-recently-touched namespace eviction.
 ///
 /// # Example
 ///
@@ -715,14 +605,13 @@ impl QueryStore {
         let StoreOptions {
             dir,
             max_entries,
-            evictor,
             tap,
             queue_depth,
             compact_bytes,
         } = options;
         let bound = max_entries.map(|max_entries| Bound {
             max_entries,
-            evictor: Mutex::new(evictor.unwrap_or_else(|| Box::<PolicyEvictor>::default())),
+            recency: Mutex::default(),
         });
         let inner = Arc::new(StoreInner {
             bound,
@@ -1009,7 +898,11 @@ impl QueryStore {
     /// per maximal recorded query (`namespace \t pattern \t query`).  Because
     /// the trie is prefix-closed, exporting the maximal paths loses nothing.
     pub fn export(&self) -> String {
-        self.inner.export()
+        let mut bytes = Vec::new();
+        self.inner
+            .export_to(&mut bytes)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(bytes).expect("namespaces and rendered queries are UTF-8")
     }
 
     /// Restores entries exported by [`QueryStore::export`] (also the replay
@@ -1162,8 +1055,9 @@ fn compact(
         return;
     };
     let _ = io::Write::flush(log);
-    let text = inner.export();
-    if persist::write_snapshot(dir, &text).is_ok() && log.get_ref().set_len(0).is_ok() {
+    if persist::write_snapshot(dir, |out| inner.export_to(out)).is_ok()
+        && log.get_ref().set_len(0).is_ok()
+    {
         *log_bytes = 0;
         if let Some(p) = inner.persist.get() {
             p.snapshots.fetch_add(1, Ordering::Relaxed);
@@ -1277,6 +1171,25 @@ mod tests {
         // The lookup above hit NS and is visible in its per-namespace row.
         assert_eq!((usage[0].hits, usage[0].misses), (1, 0));
         assert_eq!((usage[1].hits, usage[1].misses), (0, 0));
+    }
+
+    #[test]
+    fn exports_are_the_sorted_lines_of_every_namespace() {
+        let store = QueryStore::new();
+        for (ns, mbl, outcome) in [
+            ("b", "B?", HitMiss::Miss),
+            ("a b", "A?", HitMiss::Hit),
+            ("a", "C?", HitMiss::Miss),
+            ("a", "A B?", HitMiss::Hit),
+            ("b", "A?", HitMiss::Hit),
+        ] {
+            store.record(ns, &concrete(mbl), &[outcome], true);
+        }
+        assert_eq!(
+            store.export(),
+            "a\tH\tA B?\na\tM\tC?\na b\tH\tA?\nb\tH\tA?\nb\tM\tB?"
+        );
+        assert_eq!(QueryStore::new().export(), "");
     }
 
     #[test]
@@ -1422,6 +1335,65 @@ mod tests {
         assert_eq!(store.entries(), 5);
     }
 
+    /// The namespaces of `store` that still hold entries, read without
+    /// touching any of them.
+    fn resident(store: &QueryStore) -> Vec<String> {
+        store
+            .namespace_entries()
+            .into_iter()
+            .filter(|(_, entries)| *entries > 0)
+            .map(|(name, _)| name)
+            .collect()
+    }
+
+    #[test]
+    fn eviction_follows_exact_namespace_lru_order() {
+        let q = concrete("A?");
+        // Touch a, b, c, d, then c, b, a: true LRU evicts d, then c.
+        let store = QueryStore::with_options(StoreOptions {
+            max_entries: Some(4),
+            ..StoreOptions::default()
+        })
+        .unwrap();
+        for ns in ["a", "b", "c", "d"] {
+            store.record(ns, &q, &[HitMiss::Miss], true);
+        }
+        for ns in ["c", "b", "a"] {
+            store.lookup(ns, &q);
+        }
+        store.record("e", &q, &[HitMiss::Miss], true);
+        assert_eq!(resident(&store), ["a", "b", "c", "e"]);
+        store.record("f", &q, &[HitMiss::Miss], true);
+        assert_eq!(resident(&store), ["a", "b", "e", "f"]);
+
+        // Past 16 namespaces: fill 20 one-entry namespaces, re-touch them in
+        // a scrambled order, and every newcomer must evict exactly the
+        // least recently touched survivor.
+        let store = QueryStore::with_options(StoreOptions {
+            max_entries: Some(20),
+            ..StoreOptions::default()
+        })
+        .unwrap();
+        let name = |i: usize| format!("ns{i:02}");
+        for i in 0..20 {
+            store.record(&name(i), &q, &[HitMiss::Miss], true);
+        }
+        let order: Vec<usize> = (0..20).map(|i| (i * 7 + 3) % 20).collect();
+        for &i in &order {
+            store.lookup(&name(i), &q);
+        }
+        for (step, &victim) in order.iter().enumerate() {
+            store.record(&format!("new{step:02}"), &q, &[HitMiss::Miss], true);
+            assert_eq!(store.evictions(), step as u64 + 1);
+            assert!(
+                !resident(&store).contains(&name(victim)),
+                "step {step}: {} should have been evicted",
+                name(victim)
+            );
+            assert_eq!(store.entries(), 20);
+        }
+    }
+
     #[test]
     fn durable_stores_replay_their_log_on_open() {
         let dir = temp_dir("replay");
@@ -1516,21 +1488,6 @@ mod tests {
         let third = QueryStore::open(&dir).unwrap();
         assert_eq!(third.lookup(NS, &concrete("A?")), Some(vec![HitMiss::Miss]));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn evictor_specs_parse_policies_and_ways() {
-        assert_eq!(PolicyEvictor::from_spec("lru").unwrap().name(), "LRU");
-        assert_eq!(
-            PolicyEvictor::from_spec("srrip-fp@8").unwrap().name(),
-            "SRRIP-FP"
-        );
-        assert!(PolicyEvictor::from_spec("clairvoyant").is_err());
-        assert!(PolicyEvictor::from_spec("lru@zero").is_err());
-        assert!(
-            PolicyEvictor::from_spec("plru@3").is_err(),
-            "non-power-of-two"
-        );
     }
 
     #[derive(Debug, Default)]

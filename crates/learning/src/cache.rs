@@ -334,21 +334,21 @@ where
         self.hits() + self.misses()
     }
 
-    /// Every *maximal* recorded word (root-to-leaf path of the trie) with
-    /// its output word.  Because the trie is prefix-closed, re-recording the
-    /// maximal words reconstructs the whole cache — which is exactly what a
-    /// plain-text export/import needs.
-    pub fn maximal_entries(&self) -> Vec<(Vec<I>, Vec<O>)> {
-        fn walk<I: Clone + Eq, O: Clone + PartialEq>(
+    /// Visits every *maximal* recorded word (root-to-leaf path of the trie)
+    /// with its output word, under one read lock.  Because the trie is
+    /// prefix-closed, re-recording the maximal words reconstructs the whole
+    /// cache — which is exactly what a plain-text export/import needs.
+    pub fn for_each_maximal(&self, mut visit: impl FnMut(&[I], &[O])) {
+        fn walk<I: Clone, O: Clone>(
             trie: &Trie<I, O>,
             children: &[(I, u32)],
             word: &mut Vec<I>,
             outputs: &mut Vec<O>,
-            result: &mut Vec<(Vec<I>, Vec<O>)>,
+            visit: &mut dyn FnMut(&[I], &[O]),
         ) {
             if children.is_empty() {
                 if !word.is_empty() {
-                    result.push((word.clone(), outputs.clone()));
+                    visit(word, outputs);
                 }
                 return;
             }
@@ -356,21 +356,19 @@ where
                 let node = &trie.nodes[*index as usize];
                 word.push(symbol.clone());
                 outputs.push(node.output.clone());
-                walk(trie, &node.children, word, outputs, result);
+                walk(trie, &node.children, word, outputs, visit);
                 word.pop();
                 outputs.pop();
             }
         }
         let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
-        let mut result = Vec::new();
         walk(
             &trie,
             &trie.roots,
             &mut Vec::new(),
             &mut Vec::new(),
-            &mut result,
+            &mut visit,
         );
-        result
     }
 
     /// Estimated heap footprint of the trie, in bytes: the node arena plus
@@ -538,7 +536,8 @@ mod tests {
         let cache: QueryCache<u8, u8> = QueryCache::new();
         cache.record(&[1, 2, 3], &[10, 20, 30]).unwrap();
         cache.record(&[1, 4], &[10, 40]).unwrap();
-        let mut entries = cache.maximal_entries();
+        let mut entries = Vec::new();
+        cache.for_each_maximal(|word, outputs| entries.push((word.to_vec(), outputs.to_vec())));
         entries.sort();
         assert_eq!(
             entries,
@@ -549,9 +548,9 @@ mod tests {
         );
         // Re-recording the maximal words reconstructs an identical trie.
         let copy: QueryCache<u8, u8> = QueryCache::new();
-        for (word, outputs) in cache.maximal_entries() {
-            copy.record(&word, &outputs).unwrap();
-        }
+        cache.for_each_maximal(|word, outputs| {
+            copy.record(word, outputs).unwrap();
+        });
         assert_eq!(copy.entries(), cache.entries());
     }
 

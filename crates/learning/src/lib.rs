@@ -20,8 +20,6 @@
 //!   test suites (§3.3, Theorem 3.3) used as the equivalence oracle;
 //! * [`RandomWalkOracle`] — the cheaper randomized alternative mentioned in
 //!   §6 as a possible optimization;
-//! * [`CachedOracle`] — a single-oracle adapter over the query cache,
-//!   mirroring LearnLib's query cache;
 //! * [`MealyOracle`] — a simulated teacher backed by a known machine, used in
 //!   tests and for the ablation benchmarks.
 //!
@@ -80,9 +78,7 @@ pub use lstar::{
     learn_mealy, LearnError, LearnOptions, LearnPhase, LearnPhases, LearnProgress, LearnStats,
     PhaseStats,
 };
-pub use oracle::{
-    CachedOracle, EquivalenceOracle, MealyOracle, MembershipOracle, NonDeterminism, OracleError,
-};
+pub use oracle::{EquivalenceOracle, MealyOracle, MembershipOracle, NonDeterminism, OracleError};
 pub use pool::{OracleFactory, QueryPool, SuiteOutcome, WORKERS_ENV};
 pub use wmethod::{
     characterization_set, state_cover, transition_cover, w_method_suite, w_method_suite_iter,

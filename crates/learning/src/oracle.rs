@@ -2,11 +2,9 @@
 
 use std::fmt;
 use std::hash::Hash;
-use std::sync::Arc;
 
 use automata::Mealy;
 
-use crate::cache::QueryCache;
 use crate::pool::QueryPool;
 
 /// Statistical evidence that the system under learning is not a
@@ -118,8 +116,8 @@ pub trait MembershipOracle<I, O> {
     /// This method is deliberately *required*: a default of `0` would let an
     /// implementation silently under-report and corrupt the statistics of a
     /// learning run.  Oracles that genuinely do not count should return the
-    /// count of a wrapper such as [`CachedOracle`] or
-    /// [`QueryPool`](crate::QueryPool), which track queries centrally.
+    /// count of a wrapper such as [`QueryPool`](crate::QueryPool), which
+    /// tracks queries centrally.
     fn queries_answered(&self) -> u64;
 }
 
@@ -204,84 +202,6 @@ where
     }
 }
 
-/// A prefix-trie cache in front of another membership oracle, mirroring
-/// LearnLib's query cache (and, at the other end of the pipeline, the role of
-/// the LevelDB cache in CacheQuery's frontend).
-///
-/// The cache itself is a shared, thread-safe [`QueryCache`]: several
-/// `CachedOracle`s (e.g. the per-worker oracles of a
-/// [`QueryPool`](crate::QueryPool)) can be constructed over one cache with
-/// [`CachedOracle::with_cache`], in which case hits produced by one worker
-/// are visible to all others and the hit/miss statistics are global.
-#[derive(Debug)]
-pub struct CachedOracle<I, O, M> {
-    inner: M,
-    cache: Arc<QueryCache<I, O>>,
-}
-
-impl<I, O, M> CachedOracle<I, O, M>
-where
-    I: Clone + Eq + Hash,
-    O: Clone + PartialEq,
-    M: MembershipOracle<I, O>,
-{
-    /// Wraps `inner` with a fresh private cache.
-    pub fn new(inner: M) -> Self {
-        Self::with_cache(inner, Arc::new(QueryCache::new()))
-    }
-
-    /// Wraps `inner` with a shared cache (e.g. one trie serving a whole
-    /// worker pool).
-    pub fn with_cache(inner: M, cache: Arc<QueryCache<I, O>>) -> Self {
-        CachedOracle { inner, cache }
-    }
-
-    /// Cache hits so far (global across every oracle sharing the cache).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Cache misses (i.e. queries forwarded to an inner oracle).
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// The shared cache behind this oracle.
-    pub fn cache(&self) -> &Arc<QueryCache<I, O>> {
-        &self.cache
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// Consumes the adapter and returns the wrapped oracle.
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
-}
-
-impl<I, O, M> MembershipOracle<I, O> for CachedOracle<I, O, M>
-where
-    I: Clone + Eq + Hash,
-    O: Clone + PartialEq,
-    M: MembershipOracle<I, O>,
-{
-    fn query(&mut self, word: &[I]) -> Result<Vec<O>, OracleError> {
-        if let Some(outputs) = self.cache.lookup(word) {
-            return Ok(outputs);
-        }
-        let outputs = self.inner.query(word)?;
-        self.cache.record(word, &outputs)?;
-        Ok(outputs)
-    }
-
-    fn queries_answered(&self) -> u64 {
-        self.cache.total_lookups()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,39 +236,52 @@ mod tests {
         assert!(oracle.last_output(&[]).is_err());
     }
 
+    // The memoizing path in front of a membership oracle is the `QueryPool`
+    // trie; the tests below pin its cache behaviour at the oracle level.
+
     #[test]
     fn cached_oracle_reuses_prefixes() {
-        let mut oracle = CachedOracle::new(MealyOracle::new(toggle_machine()));
-        oracle.query(&["a", "b", "a"]).unwrap();
-        assert_eq!(oracle.cache_misses(), 1);
+        let factory = || MealyOracle::new(toggle_machine());
+        let mut pool = QueryPool::new(&factory, 1, true);
+        pool.query_word(&["a", "b", "a"]).unwrap();
+        assert_eq!(pool.cache_misses(), 1);
         // An exact repeat and a prefix are both served from the cache.
-        oracle.query(&["a", "b", "a"]).unwrap();
-        oracle.query(&["a", "b"]).unwrap();
-        assert_eq!(oracle.cache_hits(), 2);
-        assert_eq!(oracle.inner().queries_answered(), 1);
+        pool.query_word(&["a", "b", "a"]).unwrap();
+        pool.query_word(&["a", "b"]).unwrap();
+        assert_eq!(pool.cache_hits(), 2);
+        assert_eq!(pool.cache_misses(), 1);
     }
 
     #[test]
     fn cached_oracle_answers_match_the_inner_oracle() {
-        let mut cached = CachedOracle::new(MealyOracle::new(toggle_machine()));
+        let factory = || MealyOracle::new(toggle_machine());
+        let mut cached = QueryPool::new(&factory, 1, true);
         let mut plain = MealyOracle::new(toggle_machine());
         for word in [vec!["a"], vec!["b", "b"], vec!["a", "b", "a", "a"]] {
-            assert_eq!(cached.query(&word).unwrap(), plain.query(&word).unwrap());
+            assert_eq!(
+                cached.query_word(&word).unwrap(),
+                plain.query(&word).unwrap()
+            );
         }
     }
 
     #[test]
     fn cached_oracles_share_one_trie() {
-        let cache = Arc::new(QueryCache::new());
-        let mut first =
-            CachedOracle::with_cache(MealyOracle::new(toggle_machine()), Arc::clone(&cache));
-        let mut second =
-            CachedOracle::with_cache(MealyOracle::new(toggle_machine()), Arc::clone(&cache));
-        first.query(&["a", "b"]).unwrap();
-        // The second oracle sees the first one's work: no inner query needed.
-        second.query(&["a", "b"]).unwrap();
-        assert_eq!(second.inner().queries_answered(), 0);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        let factory = || MealyOracle::new(toggle_machine());
+        let mut pool = QueryPool::new(&factory, 4, true);
+        let words: Vec<Vec<&str>> = (1..=40)
+            .map(|len| {
+                (0..len)
+                    .map(|i| if i % 3 == 0 { "a" } else { "b" })
+                    .collect()
+            })
+            .collect();
+        pool.query_batch(&words).unwrap();
+        let misses = pool.cache_misses();
+        // The local oracle sees the workers' answers: no new oracle query.
+        let hits = pool.cache_hits();
+        pool.query_word(&words[39]).unwrap();
+        assert_eq!(pool.cache_hits(), hits + 1);
+        assert_eq!(pool.cache_misses(), misses);
     }
 }

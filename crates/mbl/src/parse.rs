@@ -4,6 +4,12 @@ use std::fmt;
 
 use crate::ast::{parse_block_name, Expr, Tag};
 
+/// Deepest expression tree [`parse`] builds, and the most groups it keeps
+/// open at once.  Parsing, expanding, rendering and dropping an expression
+/// each recurse once per level, so hostile input such as 200k `(` must fail
+/// here instead of overflowing the stack; real queries nest a few levels.
+const MAX_DEPTH: usize = 64;
+
 /// Error raised when an MBL expression cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -139,6 +145,8 @@ struct Parser {
     tokens: Vec<(usize, Token)>,
     cursor: usize,
     input_len: usize,
+    /// Groups (`(…)`, `[…]`, `{…}`) currently open.
+    open: usize,
 }
 
 impl Parser {
@@ -178,68 +186,89 @@ impl Parser {
         }
     }
 
+    /// The depth of a node wrapping a subtree `depth` deep, if within
+    /// [`MAX_DEPTH`].
+    fn deeper(&self, depth: usize) -> Result<usize, ParseError> {
+        if depth >= MAX_DEPTH {
+            return Err(self.error(format!("expression nested deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(depth + 1)
+    }
+
+    /// Parses the expression inside a group, refusing to open more than
+    /// [`MAX_DEPTH`] groups at once.
+    fn parse_nested(&mut self) -> Result<(Expr, usize), ParseError> {
+        self.deeper(self.open)?;
+        self.open += 1;
+        let parsed = self.parse_expr();
+        self.open -= 1;
+        parsed
+    }
+
     /// expr := term (('∘')? term)*
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut parts = vec![self.parse_term()?];
+    ///
+    /// Every `parse_*` returns the expression with its tree depth.
+    fn parse_expr(&mut self) -> Result<(Expr, usize), ParseError> {
+        let (first, mut depth) = self.parse_term()?;
+        let mut parts = vec![first];
         loop {
             match self.peek() {
                 Some(Token::Compose) => {
                     self.advance();
-                    parts.push(self.parse_term()?);
                 }
                 Some(
                     Token::Block(_) | Token::At | Token::Underscore | Token::LParen | Token::LBrace,
-                ) => {
-                    parts.push(self.parse_term()?);
-                }
+                ) => {}
                 _ => break,
             }
+            let (part, part_depth) = self.parse_term()?;
+            depth = depth.max(part_depth);
+            parts.push(part);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one element")
-        } else {
-            Expr::Concat(parts)
-        })
+        if parts.len() == 1 {
+            return Ok((parts.pop().expect("one element"), depth));
+        }
+        Ok((Expr::Concat(parts), self.deeper(depth)?))
     }
 
     /// term := atom postfix*
-    fn parse_term(&mut self) -> Result<Expr, ParseError> {
-        let mut expr = self.parse_atom()?;
+    fn parse_term(&mut self) -> Result<(Expr, usize), ParseError> {
+        let (mut expr, mut depth) = self.parse_atom()?;
         loop {
-            match self.peek() {
-                Some(Token::Question) => {
-                    self.advance();
-                    expr = match expr {
-                        Expr::Block(b, None) => Expr::Block(b, Some(Tag::Profile)),
-                        other => Expr::Tagged(Box::new(other), Tag::Profile),
-                    };
-                }
-                Some(Token::Bang) => {
-                    self.advance();
-                    expr = match expr {
-                        Expr::Block(b, None) => Expr::Block(b, Some(Tag::Invalidate)),
-                        other => Expr::Tagged(Box::new(other), Tag::Invalidate),
-                    };
-                }
+            let tag = match self.peek() {
+                Some(Token::Question) => Tag::Profile,
+                Some(Token::Bang) => Tag::Invalidate,
                 Some(Token::Number(_)) => {
                     let Some(Token::Number(k)) = self.advance() else {
                         unreachable!("peeked a number")
                     };
+                    depth = self.deeper(depth)?;
                     expr = Expr::Power(Box::new(expr), k);
+                    continue;
                 }
                 Some(Token::LBracket) => {
                     self.advance();
-                    let ext = self.parse_expr()?;
+                    let (ext, ext_depth) = self.parse_nested()?;
                     self.expect(Token::RBracket)?;
+                    depth = self.deeper(depth.max(ext_depth))?;
                     expr = Expr::Extension(Box::new(expr), Box::new(ext));
+                    continue;
                 }
                 _ => break,
-            }
+            };
+            self.advance();
+            expr = match expr {
+                Expr::Block(b, None) => Expr::Block(b, Some(tag)),
+                other => {
+                    depth = self.deeper(depth)?;
+                    Expr::Tagged(Box::new(other), tag)
+                }
+            };
         }
-        Ok(expr)
+        Ok((expr, depth))
     }
 
-    fn parse_atom(&mut self) -> Result<Expr, ParseError> {
+    fn parse_atom(&mut self) -> Result<(Expr, usize), ParseError> {
         let position = self.position();
         match self.advance() {
             Some(Token::Block(name)) => {
@@ -247,22 +276,25 @@ impl Parser {
                     position,
                     message: format!("invalid block name '{name}'"),
                 })?;
-                Ok(Expr::Block(block, None))
+                Ok((Expr::Block(block, None), 1))
             }
-            Some(Token::At) => Ok(Expr::Expand),
-            Some(Token::Underscore) => Ok(Expr::Wildcard),
+            Some(Token::At) => Ok((Expr::Expand, 1)),
+            Some(Token::Underscore) => Ok((Expr::Wildcard, 1)),
             Some(Token::LParen) => {
-                let inner = self.parse_expr()?;
+                let inner = self.parse_nested()?;
                 self.expect(Token::RParen)?;
                 Ok(inner)
             }
             Some(Token::LBrace) => {
-                let mut alternatives = vec![self.parse_expr()?];
+                let (first, mut depth) = self.parse_nested()?;
+                let mut alternatives = vec![first];
                 loop {
                     match self.peek() {
                         Some(Token::Comma) => {
                             self.advance();
-                            alternatives.push(self.parse_expr()?);
+                            let (alternative, alternative_depth) = self.parse_nested()?;
+                            depth = depth.max(alternative_depth);
+                            alternatives.push(alternative);
                         }
                         Some(Token::RBrace) => {
                             self.advance();
@@ -271,7 +303,7 @@ impl Parser {
                         _ => return Err(self.error("expected ',' or '}' in set")),
                     }
                 }
-                Ok(Expr::Set(alternatives))
+                Ok((Expr::Set(alternatives), self.deeper(depth)?))
             }
             other => Err(ParseError {
                 position,
@@ -285,7 +317,8 @@ impl Parser {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first offending token.
+/// Returns a [`ParseError`] describing the first offending token, including
+/// an expression nested more than 64 levels deep.
 ///
 /// # Example
 ///
@@ -308,8 +341,9 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
         tokens,
         cursor: 0,
         input_len: input.len(),
+        open: 0,
     };
-    let expr = parser.parse_expr()?;
+    let (expr, _) = parser.parse_expr()?;
     if parser.peek().is_some() {
         return Err(parser.error("trailing tokens after expression"));
     }
@@ -399,6 +433,26 @@ mod tests {
         assert!(parse("(A").is_err());
         assert!(parse("A )").is_err());
         assert!(parse("{A").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow() {
+        let groups = |depth: usize| format!("{}A{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse(&groups(MAX_DEPTH)).is_ok());
+        let err = parse(&groups(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        // Bombs of openers and of postfix wrappers fail just as fast.
+        for bomb in [
+            "(".repeat(200_000),
+            format!("(A){}", " 2".repeat(200_000)),
+            format!("(A B){}", "?".repeat(200_000)),
+            "A[".repeat(100_000),
+        ] {
+            let err = parse(&bomb).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+        }
+        // Long flat queries are not nested at all.
+        assert!(parse(&"A? ".repeat(100_000)).is_ok());
     }
 
     #[test]

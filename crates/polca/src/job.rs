@@ -22,7 +22,7 @@ use cachequery::StoreSpace;
 use learning::LearnProgress;
 use policies::PolicyKind;
 
-use crate::cache_oracle::{CacheOracle, SimulatedCacheOracle};
+use crate::cache_oracle::CacheOracle;
 use crate::pipeline::{learn_policy, CampaignProfile, LearnOutcome, LearnSetup};
 
 /// Final result of a finished learning job, reduced to the plain facts a
@@ -99,10 +99,11 @@ struct JobState {
 /// # Example
 ///
 /// ```
-/// use polca::{spawn_simulated_learn_job, LearnSetup};
+/// use polca::{spawn_learn_job, LearnSetup, SimulatedCacheOracle};
 /// use policies::PolicyKind;
 ///
-/// let job = spawn_simulated_learn_job(PolicyKind::Lru, 2, LearnSetup::default());
+/// let cache = SimulatedCacheOracle::new(PolicyKind::Lru, 2).unwrap();
+/// let job = spawn_learn_job(cache, vec![PolicyKind::Lru], LearnSetup::default(), None);
 /// let outcome = job.join().expect("LRU/2 learns in milliseconds");
 /// assert_eq!(outcome.machine.num_states(), 2);
 /// ```
@@ -163,20 +164,6 @@ impl LearnJob {
             Some((Ok((full, _)), _)) => Ok(full),
             Some((Err(error), _)) => Err(error),
             None => Err("learning thread exited without a result".to_string()),
-        }
-    }
-
-    /// A job that is already terminal with `error` — what spawners return
-    /// when the oracle cannot even be constructed.
-    fn failed(error: String) -> LearnJob {
-        LearnJob {
-            state: Arc::new(JobState {
-                started: Instant::now(),
-                progress: Arc::new(LearnProgress::new()),
-                store: None,
-                outcome: Mutex::new(Some((Err(error), Duration::ZERO))),
-            }),
-            handle: None,
         }
     }
 }
@@ -249,30 +236,28 @@ where
     }
 }
 
-/// Spawns a background job learning `kind` at `associativity` from a
-/// noiseless simulated cache (the asynchronous form of
-/// [`learn_simulated_policy`](crate::learn_simulated_policy)).
-pub fn spawn_simulated_learn_job(
-    kind: PolicyKind,
-    associativity: usize,
-    setup: LearnSetup,
-) -> LearnJob {
-    match SimulatedCacheOracle::new(kind, associativity) {
-        Ok(cache) => spawn_learn_job(cache, vec![kind], setup, None),
-        Err(e) => LearnJob::failed(e.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache_oracle::SimulatedCacheOracle;
     use crate::sim_backend::PolicySimBackend;
     use crate::CacheQueryOracle;
     use cachequery::QueryEngine;
+    use policies::PolicyError;
+
+    /// A job learning `kind` at `assoc` from a noiseless simulated cache.
+    fn simulated_job(
+        kind: PolicyKind,
+        assoc: usize,
+        setup: LearnSetup,
+    ) -> Result<LearnJob, PolicyError> {
+        let cache = SimulatedCacheOracle::new(kind, assoc)?;
+        Ok(spawn_learn_job(cache, vec![kind], setup, None))
+    }
 
     #[test]
     fn jobs_run_to_completion_and_identify() {
-        let job = spawn_simulated_learn_job(PolicyKind::Fifo, 2, LearnSetup::default());
+        let job = simulated_job(PolicyKind::Fifo, 2, LearnSetup::default()).unwrap();
         // Status polling is non-destructive while the job runs or after it
         // finished.
         let _ = job.status();
@@ -282,7 +267,7 @@ mod tests {
 
     #[test]
     fn finished_jobs_report_done_with_a_summary() {
-        let job = spawn_simulated_learn_job(PolicyKind::Lru, 2, LearnSetup::default());
+        let job = simulated_job(PolicyKind::Lru, 2, LearnSetup::default()).unwrap();
         // Wait for the terminal state via polling (exercises the status path).
         loop {
             let status = job.status();
@@ -315,8 +300,15 @@ mod tests {
 
     #[test]
     fn failed_jobs_expose_no_machine() {
-        let job = spawn_simulated_learn_job(PolicyKind::Plru, 3, LearnSetup::default());
-        assert!(job.status().is_terminal());
+        let setup = LearnSetup {
+            max_states: 2,
+            ..LearnSetup::default()
+        };
+        let job = simulated_job(PolicyKind::Lru, 4, setup).unwrap();
+        while !job.status().is_terminal() {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(matches!(job.status(), JobStatus::Failed { .. }));
         assert!(job.machine().is_none());
     }
 
@@ -326,16 +318,15 @@ mod tests {
             max_states: 2,
             ..LearnSetup::default()
         };
-        let job = spawn_simulated_learn_job(PolicyKind::Lru, 4, setup);
+        let job = simulated_job(PolicyKind::Lru, 4, setup).unwrap();
         let error = job.join().unwrap_err();
         assert!(error.contains("state"), "unexpected error: {error}");
     }
 
     #[test]
     fn unsupported_associativities_fail_immediately() {
-        let job = spawn_simulated_learn_job(PolicyKind::Plru, 3, LearnSetup::default());
-        assert!(job.status().is_terminal());
-        assert!(job.join().is_err());
+        // The cache cannot be built, so no job thread is ever spawned.
+        assert!(simulated_job(PolicyKind::Plru, 3, LearnSetup::default()).is_err());
     }
 
     #[test]

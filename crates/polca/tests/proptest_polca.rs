@@ -2,7 +2,7 @@
 //! membership oracle's answers coincide with the policy semantics — and the
 //! cache-consistency invariant of the memoization layer.
 
-use learning::{CachedOracle, MembershipOracle};
+use learning::{MembershipOracle, QueryPool};
 use polca::{CacheOracle, CacheSession, PolcaOracle, ReplaySession, SimulatedCacheOracle};
 use policies::{policy_to_mealy, PolicyInput, PolicyKind};
 use proptest::prelude::*;
@@ -67,18 +67,19 @@ proptest! {
         prop_assert_eq!(polca.query(&word).unwrap(), first);
     }
 
-    /// Cache-consistency invariant: the memoized oracle returns byte-identical
-    /// outputs to the uncached `PolcaOracle` for arbitrary query sequences —
-    /// including repeats and overlapping words, where answers come from the
-    /// prefix trie instead of the cache simulator.
+    /// Cache-consistency invariant: the learner's memoizing query pool
+    /// returns byte-identical outputs to the uncached `PolcaOracle` for
+    /// arbitrary query sequences — including repeats and overlapping words,
+    /// where answers come from the prefix trie instead of the cache
+    /// simulator.
     #[test]
     fn memoized_oracle_is_byte_identical_to_the_uncached_oracle(
         (kind, assoc, word) in case_strategy(),
         more in proptest::collection::vec(proptest::collection::vec(0usize..5, 1..20), 1..5),
     ) {
         let mut plain = PolcaOracle::new(SimulatedCacheOracle::new(kind, assoc).unwrap());
-        let mut memoized =
-            CachedOracle::new(PolcaOracle::new(SimulatedCacheOracle::new(kind, assoc).unwrap()));
+        let factory = move || PolcaOracle::new(SimulatedCacheOracle::new(kind, assoc).unwrap());
+        let mut memoized = QueryPool::new(&factory, 1, true);
         // The generated word, every word derived from it, and each word twice:
         // exercises cold paths, prefix hits, and exact repeats.
         let mut words: Vec<Vec<PolicyInput>> = vec![word.clone()];
@@ -99,7 +100,7 @@ proptest! {
                 continue;
             }
             prop_assert_eq!(
-                memoized.query(word).unwrap(),
+                memoized.query_word(word).unwrap(),
                 plain.query(word).unwrap(),
                 "memoized and uncached answers diverged on {:?}", word
             );

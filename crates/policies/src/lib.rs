@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod alphabet;
-mod eviction;
 mod fifo;
 mod lip;
 mod lru;
@@ -52,7 +51,6 @@ mod registry;
 mod srrip;
 
 pub use alphabet::{PolicyInput, PolicyOutput};
-pub use eviction::KeyedPolicy;
 pub use fifo::Fifo;
 pub use lip::Lip;
 pub use lru::Lru;

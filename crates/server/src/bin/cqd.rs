@@ -1,15 +1,15 @@
 //! Standalone `cqd` daemon.
 //!
 //! Usage: `cqd [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//! [--trace-log PATH] [--store-dir DIR] [--store-max-entries N]
-//! [--store-evict POLICY[@WAYS]]`
+//! [--trace-log PATH] [--store-dir DIR] [--store-max-entries N]`
 //!
 //! With `--store-dir`, the shared query store is durable: answers append to
 //! a record log in DIR, are compacted into snapshots, and replay on the next
 //! start — a restarted daemon serves yesterday's campaign from memory, and a
 //! `kill -9` loses at most the unsynced log tail.  `--store-max-entries`
-//! bounds the store, evicting whole namespaces chosen by `--store-evict`
-//! (default `lru@16`).
+//! bounds the store, evicting the least recently touched namespaces whole.
+//! A numeric flag with a malformed value is an error (exit status 2), never
+//! silently ignored.
 //!
 //! Runs until killed (or until stdin reaches EOF when `--until-eof` is
 //! given, which is how the smoke tests drive a bounded run).
@@ -23,16 +23,30 @@ fn value_of(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// Parses the value of the numeric flag `name`, exiting with status 2 when
+/// the flag is present but its value is missing or malformed.
+fn number_of<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let position = args.iter().position(|a| a == name)?;
+    let value = args.get(position + 1).map_or("", String::as_str);
+    match value.parse() {
+        Ok(number) => Some(number),
+        Err(_) => {
+            eprintln!("cqd: invalid value '{value}' for {name}: expected a non-negative integer");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = CqdConfig::default();
     if let Some(addr) = value_of(&args, "--addr") {
         config.addr = addr;
     }
-    if let Some(workers) = value_of(&args, "--workers").and_then(|v| v.parse().ok()) {
+    if let Some(workers) = number_of(&args, "--workers") {
         config.workers = workers;
     }
-    if let Some(depth) = value_of(&args, "--queue-depth").and_then(|v| v.parse().ok()) {
+    if let Some(depth) = number_of(&args, "--queue-depth") {
         config.queue_depth = depth;
     }
     if let Some(path) = value_of(&args, "--trace-log") {
@@ -41,12 +55,7 @@ fn main() {
     if let Some(dir) = value_of(&args, "--store-dir") {
         config.store_dir = Some(dir.into());
     }
-    if let Some(max) = value_of(&args, "--store-max-entries").and_then(|v| v.parse().ok()) {
-        config.store_max_entries = Some(max);
-    }
-    if let Some(spec) = value_of(&args, "--store-evict") {
-        config.store_evict = Some(spec);
-    }
+    config.store_max_entries = number_of(&args, "--store-max-entries");
     let until_eof = args.iter().any(|a| a == "--until-eof");
 
     let daemon = match spawn(config) {

@@ -36,9 +36,8 @@ use std::time::{Duration, Instant};
 
 use cache::{HitMiss, LevelId};
 use cachequery::{
-    parse_command, Backend, Command, NoiseSpec, PolicyEvictor, QueryBackend, QueryConfig,
-    QueryEngine, QueryStore, ResetSequence, StoreOptions, StoreSpace, Target, DEFAULT_NOISY_REPS,
-    HELP_TEXT,
+    parse_command, Backend, Command, NoiseSpec, QueryBackend, QueryConfig, QueryEngine, QueryStore,
+    ResetSequence, StoreOptions, StoreSpace, Target, DEFAULT_NOISY_REPS, HELP_TEXT,
 };
 use hardware::{CpuModel, SimulatedCpu};
 use mbl::{expand_query, render_query, Query};
@@ -86,11 +85,8 @@ pub struct CqdConfig {
     /// campaign from memory instead of re-executing it.
     pub store_dir: Option<PathBuf>,
     /// When set, the shared store holds at most this many entries, evicting
-    /// whole namespaces chosen by [`CqdConfig::store_evict`].
+    /// the least recently touched namespaces whole.
     pub store_max_entries: Option<u64>,
-    /// Eviction policy spec for a bounded store (`POLICY` or `POLICY@WAYS`,
-    /// e.g. `lru`, `srrip-fp@8`); defaults to `lru@16`.
-    pub store_evict: Option<String>,
 }
 
 impl Default for CqdConfig {
@@ -105,7 +101,6 @@ impl Default for CqdConfig {
             trace_log: None,
             store_dir: None,
             store_max_entries: None,
-            store_evict: None,
         }
     }
 }
@@ -757,9 +752,8 @@ impl Drop for CqdHandle {
 ///
 /// # Errors
 ///
-/// Propagates the bind error if the configured address is unavailable, an
-/// I/O error from opening/replaying the durable store, and an invalid
-/// `store_evict` spec.
+/// Propagates the bind error if the configured address is unavailable, and
+/// an I/O error from opening/replaying the durable store.
 pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
@@ -773,16 +767,11 @@ pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
             Some(Arc::new(Recorder::new(sink)))
         }
     };
-    let mut store_options = StoreOptions {
+    let store_options = StoreOptions {
         dir: config.store_dir.clone(),
         max_entries: config.store_max_entries,
         ..StoreOptions::default()
     };
-    if let Some(spec) = &config.store_evict {
-        let evictor = PolicyEvictor::from_spec(spec)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        store_options.evictor = Some(Box::new(evictor));
-    }
     let shared = Arc::new(Shared {
         config: config.clone(),
         store: Arc::new(QueryStore::with_options(store_options)?),

@@ -13,8 +13,16 @@
 //! * numbers are stored as `f64` but rendered without a fractional part
 //!   whenever they are integral, so counters and ids survive a round trip
 //!   textually unchanged (the protocol never needs integers above 2^53).
+//!
+//! The parser refuses documents nested deeper than `MAX_DEPTH` (64): it
+//! recurses once per level, and a request line of a million `[` would
+//! otherwise overflow the session thread's stack and abort the daemon.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.  The protocol's
+/// own messages nest at most a handful of levels.
+const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,11 +127,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] describing the first malformed construct.
+    /// Returns a [`JsonError`] describing the first malformed construct,
+    /// including arrays and objects nested more than 64 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -205,6 +215,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -249,12 +261,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object, refusing to open more than [`MAX_DEPTH`].
+    fn nested(&mut self) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'[') {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -477,6 +503,18 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "accepted malformed: {text}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // A half-megabyte bomb of openers fails just as fast.
+        let bomb = "[{\"a\":".repeat(100_000);
+        assert!(Json::parse(&bomb).unwrap_err().message.contains("nesting"));
     }
 
     #[test]
