@@ -15,17 +15,16 @@ use cache::{skylake_like_roles, DuelingRole, LevelId};
 use cachequery::{detect_leader_sets, CacheQuery, LeaderClass};
 use hardware::{CpuModel, SimulatedCpu};
 
-fn parse_cpu(name: Option<&str>) -> CpuModel {
-    match name.map(str::to_ascii_lowercase).as_deref() {
-        Some("haswell") => CpuModel::HaswellI7_4790,
-        Some("kabylake") | Some("kaby-lake") => CpuModel::KabyLakeI7_8550U,
-        _ => CpuModel::SkylakeI5_6500,
-    }
-}
-
 fn main() {
     let args = Args::from_env();
-    let model = parse_cpu(args.value_of("cpu"));
+    let model: CpuModel = args
+        .value_of("cpu")
+        .unwrap_or("skylake")
+        .parse()
+        .unwrap_or_else(|e| {
+            eprintln!("leader_sets: {e}");
+            std::process::exit(2)
+        });
     let sample = args.value_or("sets", 48usize);
     let cat = args.value_or("cat", 4usize);
     let seed = args.value_or("seed", 99u64);

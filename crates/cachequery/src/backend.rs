@@ -161,6 +161,18 @@ const INITIAL_BLOCKS: usize = 48;
 /// Size of each memory pool allocation (bytes).
 const POOL_BYTES: u64 = 8 << 20;
 
+/// The repetition count a majority vote actually runs for a requested
+/// count: 0 counts as 1, and an even count rounds up to the next odd one so
+/// that a vote can never tie.
+pub fn effective_repetitions(requested: usize) -> usize {
+    let r = requested.max(1);
+    if r.is_multiple_of(2) {
+        r + 1
+    } else {
+        r
+    }
+}
+
 /// The backend: owns the simulated CPU and executes concrete queries against
 /// a selected target cache set.
 ///
@@ -213,11 +225,9 @@ impl Backend {
         self.repetitions
     }
 
-    /// Sets the number of repetitions (values are rounded up to an odd
-    /// number; 0 is treated as 1).
+    /// Sets the number of repetitions, rounded by [`effective_repetitions`].
     pub fn set_repetitions(&mut self, repetitions: usize) {
-        let r = repetitions.max(1);
-        self.repetitions = if r.is_multiple_of(2) { r + 1 } else { r };
+        self.repetitions = effective_repetitions(repetitions);
     }
 
     /// The reset sequence applied before every query execution.

@@ -55,7 +55,7 @@ mod repl;
 mod reset;
 mod store;
 
-pub use backend::{Backend, BackendError, Target};
+pub use backend::{effective_repetitions, Backend, BackendError, Target};
 pub use engine::{
     EngineStats, QueryBackend, QueryConfig, QueryEngine, QueryOutcome, VoteConfig, VoteEvidence,
 };

@@ -1,6 +1,7 @@
 //! The three CPU models evaluated in the paper (Table 3 / Table 4).
 
 use std::fmt;
+use std::str::FromStr;
 
 use cache::{haswell_like_roles, skylake_like_roles, CacheGeometry, DuelingRole, LevelId};
 use policies::PolicyKind;
@@ -172,9 +173,43 @@ impl CpuModel {
     }
 }
 
+/// Parses a [`CpuModel::short_name`] (`haswell`, `skylake`, `kabylake`, or
+/// `kaby-lake`), ignoring case.
+impl FromStr for CpuModel {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name.to_ascii_lowercase().as_str() {
+            "haswell" => Ok(CpuModel::HaswellI7_4790),
+            "skylake" => Ok(CpuModel::SkylakeI5_6500),
+            "kabylake" | "kaby-lake" => Ok(CpuModel::KabyLakeI7_8550U),
+            _ => Err(format!(
+                "unknown CPU model '{name}' (haswell|skylake|kabylake)"
+            )),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn short_names_parse_case_insensitively() {
+        for model in CpuModel::ALL {
+            assert_eq!(model.short_name().parse::<CpuModel>(), Ok(model));
+            assert_eq!(
+                model.short_name().to_uppercase().parse::<CpuModel>(),
+                Ok(model)
+            );
+        }
+        assert_eq!("Kaby-Lake".parse(), Ok(CpuModel::KabyLakeI7_8550U));
+        let err = "skylack".parse::<CpuModel>().unwrap_err();
+        assert_eq!(
+            err,
+            "unknown CPU model 'skylack' (haswell|skylake|kabylake)"
+        );
+    }
 
     #[test]
     fn geometries_match_table_3() {

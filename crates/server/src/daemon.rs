@@ -36,8 +36,9 @@ use std::time::{Duration, Instant};
 
 use cache::{HitMiss, LevelId};
 use cachequery::{
-    parse_command, Backend, Command, NoiseSpec, QueryBackend, QueryConfig, QueryEngine, QueryStore,
-    ResetSequence, StoreOptions, StoreSpace, Target, DEFAULT_NOISY_REPS, HELP_TEXT,
+    effective_repetitions, parse_command, Backend, Command, NoiseSpec, QueryBackend, QueryConfig,
+    QueryEngine, QueryStore, ResetSequence, StoreOptions, StoreSpace, Target, DEFAULT_NOISY_REPS,
+    HELP_TEXT,
 };
 use hardware::{CpuModel, SimulatedCpu};
 use mbl::{expand_query, render_query, Query};
@@ -189,15 +190,6 @@ impl ResolvedSpec {
     }
 }
 
-fn parse_model(name: &str) -> Option<CpuModel> {
-    match name.to_ascii_lowercase().as_str() {
-        "haswell" => Some(CpuModel::HaswellI7_4790),
-        "skylake" => Some(CpuModel::SkylakeI5_6500),
-        "kabylake" | "kaby-lake" => Some(CpuModel::KabyLakeI7_8550U),
-        _ => None,
-    }
-}
-
 /// Parses the `+noise(key=value,…)` suffix of a policy spec into a
 /// [`NoiseSpec`] plus the engine's repetition count.  Rates are fractions
 /// (`flip=0.05`), stored as permille; `seed` and `reps` are integers; every
@@ -309,12 +301,7 @@ pub(crate) fn resolve_with_limits(
             assoc,
         });
     }
-    let model = parse_model(&spec.model).ok_or_else(|| {
-        format!(
-            "unknown CPU model '{}' (haswell|skylake|kabylake)",
-            spec.model
-        )
-    })?;
+    let model: CpuModel = spec.model.parse()?;
     let level = LevelId::parse(&spec.level)
         .ok_or_else(|| format!("unknown cache level '{}' (L1|L2|L3)", spec.level))?;
     let cpu_spec = model.spec();
@@ -358,16 +345,9 @@ pub(crate) fn resolve_with_limits(
     } else {
         geometry.associativity
     };
-    // Mirror the backend's repetition rounding so equal effective settings
-    // share one store namespace.
-    let reps = {
-        let r = (spec.reps as usize).max(1);
-        if r.is_multiple_of(2) {
-            r + 1
-        } else {
-            r
-        }
-    };
+    // Round like the backend so equal effective settings share one store
+    // namespace.
+    let reps = effective_repetitions(spec.reps as usize);
     let reset = if spec.reset.eq_ignore_ascii_case("f+r") {
         ResetSequence::FlushRefill
     } else {
@@ -752,8 +732,9 @@ impl Drop for CqdHandle {
 ///
 /// # Errors
 ///
-/// Propagates the bind error if the configured address is unavailable, and
-/// an I/O error from opening/replaying the durable store.
+/// Propagates the bind error if the configured address is unavailable, an
+/// I/O error from opening/replaying the durable store, and the error of a
+/// worker or accept thread that could not be spawned.
 pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
@@ -785,6 +766,8 @@ pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
         sessions: Mutex::new(Vec::new()),
     });
 
+    // A failed spawn below returns early; the threads already running then
+    // see every work sender dropped and exit on their own.
     let mut worker_handles = Vec::with_capacity(config.workers);
     for worker in 0..config.workers.max(1) {
         let shared = Arc::clone(&shared);
@@ -792,8 +775,7 @@ pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
         worker_handles.push(
             thread::Builder::new()
                 .name(format!("cqd-worker-{worker}"))
-                .spawn(move || worker_loop(&shared, &work_rx))
-                .expect("spawning a worker thread cannot fail"),
+                .spawn(move || worker_loop(&shared, &work_rx))?,
         );
     }
 
@@ -801,8 +783,7 @@ pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
     let accept_tx = work_tx.clone();
     let accept_handle = thread::Builder::new()
         .name("cqd-accept".to_string())
-        .spawn(move || accept_loop(listener, &accept_shared, &accept_tx))
-        .expect("spawning the accept thread cannot fail");
+        .spawn(move || accept_loop(listener, &accept_shared, &accept_tx))?;
 
     Ok(CqdHandle {
         addr,
@@ -819,23 +800,40 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, work_tx: &SyncSender
             break;
         }
         let Ok(stream) = stream else { continue };
-        shared.metrics.sessions_total.inc();
-        shared.metrics.sessions_active.inc();
-        let session_shared = Arc::clone(shared);
-        let session_tx = work_tx.clone();
-        let handle = thread::Builder::new()
-            .name("cqd-session".to_string())
-            .spawn(move || {
-                session_loop(stream, &session_shared, &session_tx);
-                session_shared.metrics.sessions_active.dec();
-            })
-            .expect("spawning a session thread cannot fail");
-        let mut sessions = lock_unpoisoned(&shared.sessions, &shared.metrics.lock_poisoned);
-        // Reap finished sessions so a long-running daemon does not accumulate
-        // one JoinHandle per connection it ever served.
-        sessions.retain(|h| !h.is_finished());
-        sessions.push(handle);
+        let builder = thread::Builder::new().name("cqd-session".to_string());
+        start_session(builder, stream, shared, work_tx);
     }
+}
+
+/// Runs one accepted connection on a session thread built by `builder`.
+///
+/// A failed spawn drops the connection (the stream goes down with the
+/// unstarted closure), undoes the active-session count and bumps
+/// `cqd_session_spawn_failures_total`; the accept loop keeps accepting.
+fn start_session(
+    builder: thread::Builder,
+    stream: TcpStream,
+    shared: &Arc<Shared>,
+    work_tx: &SyncSender<WorkItem>,
+) {
+    shared.metrics.sessions_total.inc();
+    shared.metrics.sessions_active.inc();
+    let session_shared = Arc::clone(shared);
+    let session_tx = work_tx.clone();
+    let spawned = builder.spawn(move || {
+        session_loop(stream, &session_shared, &session_tx);
+        session_shared.metrics.sessions_active.dec();
+    });
+    let Ok(handle) = spawned else {
+        shared.metrics.sessions_active.dec();
+        shared.metrics.session_spawn_failures.inc();
+        return;
+    };
+    let mut sessions = lock_unpoisoned(&shared.sessions, &shared.metrics.lock_poisoned);
+    // Reap finished sessions so a long-running daemon does not accumulate
+    // one JoinHandle per connection it ever served.
+    sessions.retain(|h| !h.is_finished());
+    sessions.push(handle);
 }
 
 fn worker_loop(shared: &Arc<Shared>, work_rx: &Arc<Mutex<Receiver<WorkItem>>>) {
@@ -1309,9 +1307,10 @@ fn handle_repl(
             candidate.reps = (*reps as u64).max(1);
             // Report the effective (odd-rounded) count, like the in-process
             // shell does after Backend::set_repetitions.
-            let r = (*reps).max(1);
-            let effective = if r.is_multiple_of(2) { r + 1 } else { r };
-            Ok(format!("repetitions set to {effective}"))
+            Ok(format!(
+                "repetitions set to {}",
+                effective_repetitions(*reps)
+            ))
         }
         Command::Reset(reset) => {
             candidate.reset = reset.to_string();
@@ -1659,10 +1658,9 @@ fn handle_map(
     slice: u64,
     sets: u64,
 ) -> Response {
-    let Some(model) = parse_model(model) else {
-        return Response::Error {
-            message: format!("unknown CPU model '{model}' (haswell|skylake|kabylake)"),
-        };
+    let model: CpuModel = match model.parse() {
+        Ok(model) => model,
+        Err(message) => return Response::Error { message },
     };
     let cpu_spec = model.spec();
     let geometry = cpu_spec
@@ -1826,6 +1824,31 @@ fn stream_wait(shared: &Arc<Shared>, id: u64, writer: &mut TcpStream) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn a_failed_session_spawn_drops_the_connection_and_keeps_accepting() {
+        let daemon = spawn(CqdConfig::default()).unwrap();
+        let work_tx = daemon.work_tx.clone().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // No machine can map a 1 EiB stack, so this spawn fails at once
+        // without starting (or exhausting) anything.
+        let builder = thread::Builder::new().stack_size(1 << 60);
+        start_session(builder, stream, &daemon.shared, &work_tx);
+
+        let metrics = &daemon.shared.metrics;
+        assert_eq!(metrics.session_spawn_failures.get(), 1);
+        assert_eq!(metrics.sessions_active.get(), 0);
+        // The connection was dropped: the peer reads end-of-stream.
+        let mut buf = [0u8; 1];
+        assert_eq!(peer.read(&mut buf).unwrap(), 0);
+        // The daemon itself still serves new connections.
+        let mut client = crate::Client::connect(daemon.addr()).unwrap();
+        assert_eq!(client.hello().unwrap().server, "cqd");
+        client.quit().unwrap();
+    }
 
     #[test]
     fn specs_resolve_and_validate() {

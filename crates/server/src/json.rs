@@ -10,15 +10,16 @@
 //! * objects preserve insertion order (a `Vec` of pairs, not a map), so
 //!   encoding is deterministic and round-trip tests can compare rendered
 //!   strings;
-//! * numbers are stored as `f64` but rendered without a fractional part
-//!   whenever they are integral, so counters and ids survive a round trip
-//!   textually unchanged (the protocol never needs integers above 2^53).
+//! * non-negative integer literals parse to an exact [`Json::Int`] (the
+//!   whole `u64` range: seeds, counters, ids), every other number to an
+//!   `f64` [`Json::Num`], which renders without a fractional part whenever
+//!   it is integral.
 //!
 //! The parser refuses documents nested deeper than `MAX_DEPTH` (64): it
 //! recurses once per level, and a request line of a million `[` would
 //! otherwise overflow the session thread's stack and abort the daemon.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Deepest array/object nesting [`Json::parse`] accepts.  The protocol's
 /// own messages nest at most a handful of levels.
@@ -31,7 +32,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number (integers are rendered without a fractional part).
+    /// A non-negative integer, exact over the whole `u64` range.
+    Int(u64),
+    /// Any other number: negative, fractional, in exponent form or beyond
+    /// `u64` (integral values are rendered without a fractional part).
     Num(f64),
     /// A string.
     Str(String),
@@ -71,7 +75,7 @@ impl Json {
 
     /// Convenience constructor for an integral number.
     pub fn num(n: u64) -> Json {
-        Json::Num(n as f64)
+        Json::Int(n)
     }
 
     /// Looks up a key in an object.
@@ -90,9 +94,11 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integral number.
+    /// The value as a `u64`, if it is a non-negative integral number (an
+    /// [`Json::Int`] always; a [`Json::Num`] such as `1e3` up to 2^53).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(n) => Some(*n),
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
@@ -101,6 +107,7 @@ impl Json {
     /// The value as an `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -156,6 +163,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Num(n) => {
                 if !n.is_finite() {
                     // JSON has no NaN/infinity; `null` keeps the output
@@ -440,6 +450,12 @@ impl<'a> Parser<'a> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        if text.bytes().all(|c| c.is_ascii_digit()) {
+            // A plain non-negative integer stays exact unless it overflows.
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Json::Int(n));
+            }
+        }
         text.parse::<f64>()
             .ok()
             // Overflowing literals like 1e309 parse to infinity, which this
@@ -515,6 +531,21 @@ mod tests {
         // A half-megabyte bomb of openers fails just as fast.
         let bomb = "[{\"a\":".repeat(100_000);
         assert!(Json::parse(&bomb).unwrap_err().message.contains("nesting"));
+    }
+
+    #[test]
+    fn integers_are_exact_over_the_whole_u64_range() {
+        for n in [0, 1, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let text = n.to_string();
+            assert_eq!(Json::num(n).render(), text);
+            assert_eq!(Json::parse(&text).unwrap(), Json::Int(n));
+            assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(n));
+        }
+        // One past u64::MAX is still a number, just not an exact integer.
+        let beyond = Json::parse("18446744073709551616").unwrap();
+        assert_eq!(beyond.as_u64(), None);
+        assert_eq!(beyond.as_f64(), Some(2f64.powi(64)));
+        assert_eq!(Json::num(3).as_f64(), Some(3.0));
     }
 
     #[test]

@@ -20,6 +20,9 @@ pub struct ServerMetrics {
     pub sessions_total: Arc<Counter>,
     /// Sessions currently connected.
     pub sessions_active: Arc<Gauge>,
+    /// Accepted connections dropped because their session thread could not
+    /// be spawned.
+    pub session_spawn_failures: Arc<Counter>,
     /// Concrete queries answered (store hits + backend runs).
     pub queries: Arc<Counter>,
     /// Concrete queries answered from the shared cross-session store.
@@ -51,6 +54,7 @@ impl ServerMetrics {
         ServerMetrics {
             sessions_total: registry.counter("cqd_sessions_total"),
             sessions_active: registry.gauge("cqd_sessions_active"),
+            session_spawn_failures: registry.counter("cqd_session_spawn_failures_total"),
             queries: registry.counter("cqd_queries_total"),
             store_hits: registry.counter("cqd_store_hits_total"),
             backend_queries: registry.counter("cqd_backend_queries_total"),
@@ -92,6 +96,7 @@ mod tests {
         for expected in [
             "cqd_sessions_total",
             "cqd_sessions_active",
+            "cqd_session_spawn_failures_total",
             "cqd_queries_total",
             "cqd_store_hits_total",
             "cqd_backend_queries_total",

@@ -1,11 +1,11 @@
 //! The `cqd` wire protocol: newline-delimited JSON requests and responses.
 //!
 //! Every message is one JSON object on one line.  Requests carry a `"cmd"`
-//! discriminator, responses a `"resp"` discriminator; all numbers fit in
-//! 2^53 so the hand-rolled [`Json`] layer round-trips them exactly.  The
-//! protocol is strictly request→response *except* for `wait`, which streams
-//! zero or more non-final `status` lines (`"final": false`) before the
-//! terminal one (`"final": true`) — a client must keep reading until the
+//! discriminator, responses a `"resp"` discriminator; integers are exact over
+//! the whole `u64` range (the [`Json`] layer keeps them apart from floats).
+//! The protocol is strictly request→response *except* for `wait`, which
+//! streams zero or more non-final `status` lines (`"final": false`) before
+//! the terminal one (`"final": true`) — a client must keep reading until the
 //! final line.
 //!
 //! | Request (`cmd`) | Fields | Response (`resp`) |
@@ -26,6 +26,14 @@
 //! | `quit` | — | `bye` |
 //!
 //! Any request can instead produce an `error` response.
+//!
+//! Each message is declared once, through `wire_struct!` and
+//! `wire_enum!`: a field's doc comment, name, type and JSON key sit in one
+//! line, and the struct or enum, its encoder and its decoder are all
+//! generated from it.  A field's key is its name unless the declaration
+//! says `as "key"`.  Encoding writes the fields in declaration order; a
+//! variant that carries a wire struct (`Target`, `JobStatus`, `Replay`,
+//! `Map`) splices the struct's fields in after the `cmd`/`resp` tag.
 
 use std::fmt;
 
@@ -73,36 +81,272 @@ fn err(message: impl Into<String>) -> ProtoError {
     ProtoError(message.into())
 }
 
-/// The complete backend/target configuration of one session, as sent with
-/// the `target` command.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionSpec {
-    /// CPU model name (`haswell`, `skylake`, `kabylake`).
-    pub model: String,
-    /// Seed of the simulated machine.  Must stay below 2^53: the JSON wire
-    /// format stores numbers as `f64`, so larger seeds would be silently
-    /// rounded in transit.
-    pub seed: u64,
-    /// Target cache level (`L1`, `L2`, `L3`).
-    pub level: String,
-    /// Target set index within the slice.
-    pub set: u64,
-    /// Target slice index.
-    pub slice: u64,
-    /// Intel CAT restriction of the last-level cache, if any.
-    pub cat: Option<u64>,
-    /// Repetitions of the majority vote.
-    pub reps: u64,
-    /// Reset sequence (`F+R` or a custom MBL refill).
-    pub reset: String,
-    /// Target a bare simulated replacement policy (`POLICY@ASSOC`, e.g.
-    /// `LRU@4`) instead of a simulated machine.  When set, the hardware
-    /// fields above are ignored and the session shares the query-store
-    /// namespace that `learn` campaigns for the same policy fill.  An
-    /// optional `+noise(flip=R,drop=R,evict=R,seed=N,reps=N)` suffix (rates
-    /// as fractions, e.g. `LRU@4+noise(flip=0.05,seed=1)`) injects seeded
-    /// faults that the server-side engine absorbs by majority voting.
-    pub policy: Option<String>,
+/// A type that can sit in a wire message field: how a value renders as JSON
+/// and how it is read back.
+trait WireField: Sized {
+    /// What decode errors call the JSON type (`integer`, `string`, …).
+    const KIND: &'static str;
+
+    /// Renders the value.
+    fn to_json(&self) -> Json;
+
+    /// Reads the value stored under `key` (`None` when the member is
+    /// absent).  `Ok(None)` means "absent or of another JSON type": the
+    /// caller words that error, since it differs between an object member
+    /// and an array element.
+    fn read(value: Option<&Json>, key: &str) -> Result<Option<Self>, ProtoError>;
+}
+
+/// Decodes the member `key` of the object `value`.
+fn field<T: WireField>(value: &Json, key: &str) -> Result<T, ProtoError> {
+    T::read(value.get(key), key)?.ok_or_else(|| err(format!("missing {} field '{key}'", T::KIND)))
+}
+
+/// Decodes one element of the array stored under `key`.
+fn element<T: WireField>(value: &Json, key: &str) -> Result<T, ProtoError> {
+    T::read(Some(value), key)?.ok_or_else(|| err(format!("'{key}' must contain {}s", T::KIND)))
+}
+
+impl WireField for u64 {
+    const KIND: &'static str = "integer";
+
+    fn to_json(&self) -> Json {
+        Json::num(*self)
+    }
+
+    fn read(value: Option<&Json>, _key: &str) -> Result<Option<Self>, ProtoError> {
+        Ok(value.and_then(Json::as_u64))
+    }
+}
+
+impl WireField for String {
+    const KIND: &'static str = "string";
+
+    fn to_json(&self) -> Json {
+        Json::str(self)
+    }
+
+    fn read(value: Option<&Json>, _key: &str) -> Result<Option<Self>, ProtoError> {
+        Ok(value.and_then(Json::as_str).map(str::to_string))
+    }
+}
+
+impl WireField for bool {
+    const KIND: &'static str = "boolean";
+
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn read(value: Option<&Json>, _key: &str) -> Result<Option<Self>, ProtoError> {
+        Ok(value.and_then(Json::as_bool))
+    }
+}
+
+impl WireField for f64 {
+    const KIND: &'static str = "number";
+
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+
+    fn read(value: Option<&Json>, _key: &str) -> Result<Option<Self>, ProtoError> {
+        Ok(value.and_then(Json::as_f64))
+    }
+}
+
+/// An optional field is `null` (or absent) when `None`.
+impl<T: WireField> WireField for Option<T> {
+    const KIND: &'static str = T::KIND;
+
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+
+    fn read(value: Option<&Json>, key: &str) -> Result<Option<Self>, ProtoError> {
+        let Some(value) = value.filter(|v| !matches!(v, Json::Null)) else {
+            return Ok(Some(None));
+        };
+        let article = if T::KIND.starts_with(['a', 'e', 'i', 'o', 'u']) {
+            "an"
+        } else {
+            "a"
+        };
+        match T::read(Some(value), key)? {
+            Some(inner) => Ok(Some(Some(inner))),
+            None => Err(err(format!("'{key}' must be {article} {}", T::KIND))),
+        }
+    }
+}
+
+impl<T: WireField> WireField for Vec<T> {
+    const KIND: &'static str = "array";
+
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+
+    fn read(value: Option<&Json>, key: &str) -> Result<Option<Self>, ProtoError> {
+        value
+            .and_then(Json::as_arr)
+            .map(|items| items.iter().map(|item| element(item, key)).collect())
+            .transpose()
+    }
+}
+
+/// The JSON key of a field: its name, or the `as "key"` override.
+macro_rules! wire_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// Declares a wire struct: every field is `pub`, encodes under its key in
+/// declaration order, and decodes with the `WireField` rules.  A struct
+/// is itself a field type (a nested JSON object).
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$field_meta:meta])*
+                $field:ident $(as $key:literal)?: $ty:ty,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$field_meta])* pub $field: $ty, )*
+        }
+
+        impl $name {
+            /// Appends the fields to `pairs` as `(key, value)` members.
+            fn fields_after(&self, mut pairs: Vec<(String, Json)>) -> Vec<(String, Json)> {
+                pairs.reserve_exact([$(stringify!($field)),*].len());
+                $( pairs.push((wire_key!($field $($key)?).to_string(), self.$field.to_json())); )*
+                pairs
+            }
+
+            fn decode_fields(value: &Json) -> Result<Self, ProtoError> {
+                Ok($name {
+                    $( $field: field(value, wire_key!($field $($key)?))?, )*
+                })
+            }
+        }
+
+        impl WireField for $name {
+            const KIND: &'static str = "object";
+
+            fn to_json(&self) -> Json {
+                Json::Obj(self.fields_after(Vec::new()))
+            }
+
+            fn read(value: Option<&Json>, _key: &str) -> Result<Option<Self>, ProtoError> {
+                value.map(Self::decode_fields).transpose()
+            }
+        }
+    };
+}
+
+/// Expands to its second argument; lets `wire_enum!` bind the payload of
+/// a variant that carries a wire struct.
+macro_rules! bind_payload {
+    ($ty:ty, $binding:ident) => {
+        $binding
+    };
+}
+
+/// Declares a wire message enum tagged by `$tag_key`.  A variant is a unit
+/// (the tag alone), carries a wire struct whose fields follow the tag, or
+/// has inline fields keyed by their names.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident tagged $tag_key:literal, unknown $what:literal {
+            $(
+                $(#[$variant_meta:meta])*
+                $tag:literal => $variant:ident
+                    $( ( $payload:ty ) )?
+                    $( { $( $(#[$field_meta:meta])* $field:ident: $ty:ty, )* } )?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$variant_meta])*
+                $variant $( ($payload) )? $( { $( $(#[$field_meta])* $field: $ty, )* } )?,
+            )*
+        }
+
+        impl $name {
+            fn to_json(&self) -> Json {
+                match self {
+                    $(
+                        $name::$variant
+                            $( (bind_payload!($payload, payload)) )?
+                            $( { $($field),* } )? => {
+                            let pairs = vec![
+                                ($tag_key.to_string(), Json::str($tag)),
+                                $( $( (stringify!($field).to_string(), $field.to_json()), )* )?
+                            ];
+                            $( let pairs = bind_payload!($payload, payload).fields_after(pairs); )?
+                            Json::Obj(pairs)
+                        }
+                    )*
+                }
+            }
+
+            fn from_json(value: &Json) -> Result<Self, ProtoError> {
+                let tag: String = field(value, $tag_key)?;
+                match tag.as_str() {
+                    $(
+                        $tag => Ok($name::$variant
+                            $( (<$payload>::decode_fields(value)?) )?
+                            $( { $( $field: field(value, stringify!($field))?, )* } )?),
+                    )*
+                    other => Err(err(format!(concat!("unknown ", $what, " '{}'"), other))),
+                }
+            }
+        }
+    };
+}
+
+wire_struct! {
+    /// The complete backend/target configuration of one session, as sent
+    /// with the `target` command.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SessionSpec {
+        /// CPU model name (`haswell`, `skylake`, `kabylake`).
+        model: String,
+        /// Seed of the simulated machine (any `u64`: the wire carries it
+        /// exactly).
+        seed: u64,
+        /// Target cache level (`L1`, `L2`, `L3`).
+        level: String,
+        /// Target set index within the slice.
+        set: u64,
+        /// Target slice index.
+        slice: u64,
+        /// Intel CAT restriction of the last-level cache, if any.
+        cat: Option<u64>,
+        /// Repetitions of the majority vote.
+        reps: u64,
+        /// Reset sequence (`F+R` or a custom MBL refill).
+        reset: String,
+        /// Target a bare simulated replacement policy (`POLICY@ASSOC`, e.g.
+        /// `LRU@4`) instead of a simulated machine.  When set, the hardware
+        /// fields above are ignored and the session shares the query-store
+        /// namespace that `learn` campaigns for the same policy fill.  An
+        /// optional `+noise(flip=R,drop=R,evict=R,seed=N,reps=N)` suffix
+        /// (rates as fractions, e.g. `LRU@4+noise(flip=0.05,seed=1)`)
+        /// injects seeded faults that the server-side engine absorbs by
+        /// majority voting.
+        policy: Option<String>,
+    }
 }
 
 impl Default for SessionSpec {
@@ -121,262 +365,264 @@ impl Default for SessionSpec {
     }
 }
 
-/// A request from a client to the daemon.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Handshake: ask for server identity and protocol version.
-    Hello,
-    /// Replace the session's backend/target configuration.
-    Target(SessionSpec),
-    /// Expand and run one MBL expression.
-    Query {
-        /// The MBL expression.
-        mbl: String,
-    },
-    /// Run several MBL expressions (the batch mode of §4.2).
-    Batch {
-        /// The expressions, answered in order.
-        exprs: Vec<String>,
-    },
-    /// One line of the interactive REPL protocol (shared with `mbl_repl`).
-    Repl {
-        /// The command line.
-        line: String,
-    },
-    /// Start an asynchronous learning job.
-    Learn {
-        /// `POLICY@ASSOC`, e.g. `LRU@2`, with the same optional
-        /// `+noise(...)` suffix as [`SessionSpec::policy`] for a
-        /// noise-robustness campaign.
-        spec: String,
-    },
-    /// Replay a synthetic trace against a policy simulator — and, when
-    /// `job` names a finished learning job, differentially against its
-    /// learned machine.
-    Replay {
-        /// `POLICY@ASSOC`, e.g. `LRU@2` (noise suffixes are rejected:
-        /// replay needs a deterministic ground truth).
-        spec: String,
-        /// Trace generator name (`sequential`, `strided`, `zipfian`,
-        /// `pointer-chase`).
-        generator: String,
-        /// Number of accesses to generate (clamped server-side).
-        accesses: u64,
-        /// Working-set size in cache lines (clamped server-side).
-        lines: u64,
-        /// Generator seed.
-        seed: u64,
-        /// Id of a finished `learn` job whose machine should be replayed
-        /// differentially against the simulator.
-        job: Option<u64>,
-    },
-    /// Map the sets of a simulated adaptive last-level cache server-side:
-    /// classify every set (leader detection), learn each leader group's
-    /// policy through the shared store, and flip-probe every follower for
-    /// statistical evidence of adaptivity.
-    ///
-    /// The sweep should cover leaders of *both* duel classes (on the
-    /// Skylake-like layout, ≥ 34 sets): the disambiguation drives work by
-    /// making leaders vote the duel in a known direction, so a sweep that
-    /// excludes every leader of one class cannot separate followers from
-    /// leaders of the resident polarity — exactly like the published
-    /// experiment, which sweeps the whole cache.
-    Map {
-        /// CPU model name (`haswell`, `skylake`, `kabylake`).
-        model: String,
-        /// Seed of the simulated machine.
-        seed: u64,
-        /// Intel CAT restriction of the last-level cache, if any.
-        cat: Option<u64>,
-        /// The slice whose sets are mapped.
-        slice: u64,
-        /// Number of sets to map, starting at index 0 (clamped server-side).
-        sets: u64,
-    },
-    /// Poll the status of a learning job.
-    Job {
-        /// The job id returned by `learn`.
+wire_enum! {
+    /// A request from a client to the daemon.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request tagged "cmd", unknown "command" {
+        /// Handshake: ask for server identity and protocol version.
+        "hello" => Hello,
+        /// Replace the session's backend/target configuration.
+        "target" => Target(SessionSpec),
+        /// Expand and run one MBL expression.
+        "query" => Query {
+            /// The MBL expression.
+            mbl: String,
+        },
+        /// Run several MBL expressions (the batch mode of §4.2).
+        "batch" => Batch {
+            /// The expressions, answered in order.
+            exprs: Vec<String>,
+        },
+        /// One line of the interactive REPL protocol (shared with
+        /// `mbl_repl`).
+        "repl" => Repl {
+            /// The command line.
+            line: String,
+        },
+        /// Start an asynchronous learning job.
+        "learn" => Learn {
+            /// `POLICY@ASSOC`, e.g. `LRU@2`, with the same optional
+            /// `+noise(...)` suffix as [`SessionSpec::policy`] for a
+            /// noise-robustness campaign.
+            spec: String,
+        },
+        /// Replay a synthetic trace against a policy simulator — and, when
+        /// `job` names a finished learning job, differentially against its
+        /// learned machine.
+        "replay" => Replay {
+            /// `POLICY@ASSOC`, e.g. `LRU@2` (noise suffixes are rejected:
+            /// replay needs a deterministic ground truth).
+            spec: String,
+            /// Trace generator name (`sequential`, `strided`, `zipfian`,
+            /// `pointer-chase`).
+            generator: String,
+            /// Number of accesses to generate (clamped server-side).
+            accesses: u64,
+            /// Working-set size in cache lines (clamped server-side).
+            lines: u64,
+            /// Generator seed.
+            seed: u64,
+            /// Id of a finished `learn` job whose machine should be
+            /// replayed differentially against the simulator.
+            job: Option<u64>,
+        },
+        /// Map the sets of a simulated adaptive last-level cache
+        /// server-side: classify every set (leader detection), learn each
+        /// leader group's policy through the shared store, and flip-probe
+        /// every follower for statistical evidence of adaptivity.
+        ///
+        /// The sweep should cover leaders of *both* duel classes (on the
+        /// Skylake-like layout, ≥ 34 sets): the disambiguation drives work
+        /// by making leaders vote the duel in a known direction, so a sweep
+        /// that excludes every leader of one class cannot separate
+        /// followers from leaders of the resident polarity — exactly like
+        /// the published experiment, which sweeps the whole cache.
+        "map" => Map {
+            /// CPU model name (`haswell`, `skylake`, `kabylake`).
+            model: String,
+            /// Seed of the simulated machine.
+            seed: u64,
+            /// Intel CAT restriction of the last-level cache, if any.
+            cat: Option<u64>,
+            /// The slice whose sets are mapped.
+            slice: u64,
+            /// Number of sets to map, starting at index 0 (clamped
+            /// server-side).
+            sets: u64,
+        },
+        /// Poll the status of a learning job.
+        "job" => Job {
+            /// The job id returned by `learn`.
+            id: u64,
+        },
+        /// Stream status lines until a learning job finishes.
+        "wait" => Wait {
+            /// The job id returned by `learn`.
+            id: u64,
+        },
+        /// Global and per-session metrics.
+        "stats" => Stats,
+        /// The daemon's metrics registry: Prometheus-style text plus typed
+        /// snapshots of every counter, gauge and latency histogram.
+        "metrics" => Metrics,
+        /// Flush the durable store's record log and write a compacted
+        /// snapshot.  A no-op (still `done`) on a daemon running without
+        /// `--store-dir`.
+        "persist" => Persist,
+        /// Close the session.
+        "quit" => Quit,
+    }
+}
+
+wire_struct! {
+    /// One executed concrete query, as sent over the wire.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireOutcome {
+        /// The rendered concrete query (after MBL expansion).
+        query: String,
+        /// Hit/miss pattern of the profiled accesses (`H` / `M` per access).
+        pattern: String,
+        /// Whether all repetitions agreed.
+        consistent: bool,
+        /// Whether the answer came from the shared cross-session store.
+        cached: bool,
+    }
+}
+
+wire_struct! {
+    /// One L* phase of a learning campaign, as reported with a terminal job
+    /// status: its name, the membership queries it issued, and its
+    /// wall-clock share in milliseconds.  The query counts of a status
+    /// line's phases sum exactly to its `queries` total (the learner's
+    /// phase regions partition the run).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WirePhase {
+        /// Phase name (`table_fill`, `closure`, `equivalence`,
+        /// `identification`).
+        name: String,
+        /// Membership queries attributed to the phase.
+        queries: u64,
+        /// Wall-clock milliseconds spent in the phase.
+        millis: u64,
+    }
+}
+
+wire_struct! {
+    /// One metric of the daemon's registry, in flat typed form (the
+    /// structured counterpart of the Prometheus text a `metrics` response
+    /// also carries).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireMetric {
+        /// Metric name (e.g. `cqd_request_ns`).
+        name: String,
+        /// `counter`, `gauge` or `histogram`.
+        kind: String,
+        /// Counter/gauge value; for histograms, the sample count.
+        value: u64,
+        /// Sum of recorded samples (histograms only; 0 otherwise).
+        sum: u64,
+        /// Smallest recorded sample (histograms only; 0 otherwise).
+        min: u64,
+        /// Largest recorded sample (histograms only; 0 otherwise).
+        max: u64,
+        /// Median estimate (histograms only; 0 otherwise).
+        p50: u64,
+        /// 90th-percentile estimate (histograms only; 0 otherwise).
+        p90: u64,
+        /// 99th-percentile estimate (histograms only; 0 otherwise).
+        p99: u64,
+    }
+}
+
+wire_struct! {
+    /// Status snapshot of a learning job.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireJobStatus {
+        /// The job id.
         id: u64,
-    },
-    /// Stream status lines until a learning job finishes.
-    Wait {
-        /// The job id returned by `learn`.
-        id: u64,
-    },
-    /// Global and per-session metrics.
-    Stats,
-    /// The daemon's metrics registry: Prometheus-style text plus typed
-    /// snapshots of every counter, gauge and latency histogram.
-    Metrics,
-    /// Flush the durable store's record log and write a compacted snapshot.
-    /// A no-op (still `done`) on a daemon running without `--store-dir`.
-    Persist,
-    /// Close the session.
-    Quit,
+        /// `running`, `done` or `failed`.
+        state: String,
+        /// Human-readable detail (identification result or error).
+        detail: String,
+        /// Whether this is the last status line of a `wait` stream.
+        finished as "final": bool,
+        /// States of the current hypothesis (live while running, final
+        /// when done, 0 when failed).
+        states: u64,
+        /// Membership queries issued so far (live while running).
+        queries: u64,
+        /// Memoization hit rate: the campaign's query-store namespace while
+        /// running, the learner's prefix-trie cache once done.
+        hit_rate: f64,
+        /// Wall-clock milliseconds since the job started.
+        millis: u64,
+        /// Per-phase query/duration breakdown of the campaign (populated on
+        /// `done` status lines; empty while running and on failures).
+        phases: Vec<WirePhase>,
+    }
 }
 
-/// One executed concrete query, as sent over the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireOutcome {
-    /// The rendered concrete query (after MBL expansion).
-    pub query: String,
-    /// Hit/miss pattern of the profiled accesses (`H` / `M` per access).
-    pub pattern: String,
-    /// Whether all repetitions agreed.
-    pub consistent: bool,
-    /// Whether the answer came from the shared cross-session store.
-    pub cached: bool,
-}
-
-/// One L* phase of a learning campaign, as reported with a terminal job
-/// status: its name, the membership queries it issued, and its wall-clock
-/// share in milliseconds.  The query counts of a status line's phases sum
-/// exactly to its `queries` total (the learner's phase regions partition the
-/// run).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WirePhase {
-    /// Phase name (`table_fill`, `closure`, `equivalence`,
-    /// `identification`).
-    pub name: String,
-    /// Membership queries attributed to the phase.
-    pub queries: u64,
-    /// Wall-clock milliseconds spent in the phase.
-    pub millis: u64,
-}
-
-/// One metric of the daemon's registry, in flat typed form (the structured
-/// counterpart of the Prometheus text a `metrics` response also carries).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireMetric {
-    /// Metric name (e.g. `cqd_request_ns`).
-    pub name: String,
-    /// `counter`, `gauge` or `histogram`.
-    pub kind: String,
-    /// Counter/gauge value; for histograms, the sample count.
-    pub value: u64,
-    /// Sum of recorded samples (histograms only; 0 otherwise).
-    pub sum: u64,
-    /// Smallest recorded sample (histograms only; 0 otherwise).
-    pub min: u64,
-    /// Largest recorded sample (histograms only; 0 otherwise).
-    pub max: u64,
-    /// Median estimate (histograms only; 0 otherwise).
-    pub p50: u64,
-    /// 90th-percentile estimate (histograms only; 0 otherwise).
-    pub p90: u64,
-    /// 99th-percentile estimate (histograms only; 0 otherwise).
-    pub p99: u64,
-}
-
-/// Status snapshot of a learning job.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireJobStatus {
-    /// The job id.
-    pub id: u64,
-    /// `running`, `done` or `failed`.
-    pub state: String,
-    /// Human-readable detail (identification result or error).
-    pub detail: String,
-    /// Whether this is the last status line of a `wait` stream.
-    pub finished: bool,
-    /// States of the current hypothesis (live while running, final when
-    /// done, 0 when failed).
-    pub states: u64,
-    /// Membership queries issued so far (live while running).
-    pub queries: u64,
-    /// Memoization hit rate: the campaign's query-store namespace while
-    /// running, the learner's prefix-trie cache once done.
-    pub hit_rate: f64,
-    /// Wall-clock milliseconds since the job started.
-    pub millis: u64,
-    /// Per-phase query/duration breakdown of the campaign (populated on
-    /// `done` status lines; empty while running and on failures).
-    pub phases: Vec<WirePhase>,
-}
-
-/// Global daemon counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireStats {
-    /// Sessions currently connected.
-    pub sessions_active: u64,
-    /// Sessions accepted since startup.
-    pub sessions_total: u64,
-    /// Concrete queries answered (store hits + backend runs).
-    pub queries: u64,
-    /// Concrete queries served from the shared cross-session store; the
-    /// remainder (`queries - store_hits`) missed and ran on the backend.
-    pub store_hits: u64,
-    /// Queries executed by the backend pool.
-    pub backend_queries: u64,
-    /// Learning jobs spawned.
-    pub jobs_spawned: u64,
-    /// Learning jobs in a terminal state.
-    pub jobs_finished: u64,
-    /// Workers currently executing backend work (backend occupancy).
-    pub busy_workers: u64,
-    /// Size of the worker pool.
-    pub workers: u64,
-    /// Store recordings dropped because they contradicted an earlier answer
-    /// or were malformed (the nondeterminism signal of §7.1).
-    pub store_conflicts: u64,
-    /// Queries that went through the engine's repetition/majority vote —
-    /// session backends and learning campaigns alike (the tally lives on the
-    /// shared store).
-    pub votes: u64,
-    /// Backend executions those votes consumed (repetitions and escalations
-    /// included): `vote_executions / votes` is the effective repetition
-    /// count of the voted traffic.
-    pub vote_executions: u64,
-    /// Voted queries that needed at least one escalation round.
-    pub vote_escalations: u64,
-    /// Voted queries whose margin never settled (answered but not stored).
-    pub vote_unsettled: u64,
-    /// Worst final vote margin observed, in permille (1000 until the first
-    /// vote).
-    pub vote_min_margin_permille: u64,
-    /// Milliseconds since the daemon started.
-    pub uptime_ms: u64,
-    /// Median request-handling latency, in nanoseconds (0 until the first
-    /// request is served).
-    pub request_p50_ns: u64,
-    /// 99th-percentile request-handling latency, in nanoseconds.
-    pub request_p99_ns: u64,
-    /// Worst request-handling latency observed, in nanoseconds.
-    pub request_max_ns: u64,
-    /// Entries (trie nodes) currently held by the shared store.
-    pub store_entries: u64,
-    /// Namespaces cleared by the store's entry cap since startup (0 when
-    /// the store is unbounded).
-    pub store_evictions: u64,
-    /// Records handed to the store's persistence writer (0 when the daemon
-    /// runs without `--store-dir`).
-    pub persist_appended: u64,
-    /// Appends lost to a full writer queue or write errors — durability
-    /// gaps healed by the next snapshot, never in-memory data loss.
-    pub persist_dropped: u64,
-    /// Compacted snapshots written since startup.
-    pub persist_snapshots: u64,
-    /// Records replayed from disk when the store opened.
-    pub persist_replayed: u64,
-    /// Poisoned locks recovered on the request path (a worker or session
-    /// panicked mid-operation; the daemon degrades instead of dying).
-    pub lock_poisoned: u64,
-}
-
-/// One query-store namespace (a distinct backend configuration) and its
-/// size, as reported by the `stats` command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireNamespace {
-    /// The rendered backend configuration.
-    pub name: String,
-    /// Cached access prefixes (trie nodes) in the namespace.
-    pub entries: u64,
-    /// Estimated heap footprint of the namespace's trie, in bytes.
-    pub bytes: u64,
-    /// Lifetime lookups served from this namespace (survives eviction).
-    pub hits: u64,
-    /// Lifetime lookups that missed in this namespace.
-    pub misses: u64,
+wire_struct! {
+    /// Global daemon counters.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct WireStats {
+        /// Sessions currently connected.
+        sessions_active: u64,
+        /// Sessions accepted since startup.
+        sessions_total: u64,
+        /// Concrete queries answered (store hits + backend runs).
+        queries: u64,
+        /// Concrete queries served from the shared cross-session store; the
+        /// remainder (`queries - store_hits`) missed and ran on the backend.
+        store_hits: u64,
+        /// Queries executed by the backend pool.
+        backend_queries: u64,
+        /// Milliseconds since the daemon started.
+        uptime_ms: u64,
+        /// Median request-handling latency, in nanoseconds (0 until the
+        /// first request is served).
+        request_p50_ns: u64,
+        /// 99th-percentile request-handling latency, in nanoseconds.
+        request_p99_ns: u64,
+        /// Worst request-handling latency observed, in nanoseconds.
+        request_max_ns: u64,
+        /// Learning jobs spawned.
+        jobs_spawned: u64,
+        /// Learning jobs in a terminal state.
+        jobs_finished: u64,
+        /// Workers currently executing backend work (backend occupancy).
+        busy_workers: u64,
+        /// Size of the worker pool.
+        workers: u64,
+        /// Store recordings dropped because they contradicted an earlier
+        /// answer or were malformed (the nondeterminism signal of §7.1).
+        store_conflicts: u64,
+        /// Entries (trie nodes) currently held by the shared store.
+        store_entries: u64,
+        /// Namespaces cleared by the store's entry cap since startup (0
+        /// when the store is unbounded).
+        store_evictions: u64,
+        /// Records handed to the store's persistence writer (0 when the
+        /// daemon runs without `--store-dir`).
+        persist_appended: u64,
+        /// Appends lost to a full writer queue or write errors — durability
+        /// gaps healed by the next snapshot, never in-memory data loss.
+        persist_dropped: u64,
+        /// Compacted snapshots written since startup.
+        persist_snapshots: u64,
+        /// Records replayed from disk when the store opened.
+        persist_replayed: u64,
+        /// Poisoned locks recovered on the request path (a worker or
+        /// session panicked mid-operation; the daemon degrades instead of
+        /// dying).
+        lock_poisoned: u64,
+        /// Queries that went through the engine's repetition/majority vote
+        /// — session backends and learning campaigns alike (the tally lives
+        /// on the shared store).
+        votes: u64,
+        /// Backend executions those votes consumed (repetitions and
+        /// escalations included): `vote_executions / votes` is the
+        /// effective repetition count of the voted traffic.
+        vote_executions: u64,
+        /// Voted queries that needed at least one escalation round.
+        vote_escalations: u64,
+        /// Voted queries whose margin never settled (answered but not
+        /// stored).
+        vote_unsettled: u64,
+        /// Worst final vote margin observed, in permille (1000 until the
+        /// first vote).
+        vote_min_margin_permille: u64,
+    }
 }
 
 impl WireStats {
@@ -390,538 +636,213 @@ impl WireStats {
     }
 }
 
-/// Result of a server-side trace replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireReplay {
-    /// The policy spec that was replayed.
-    pub spec: String,
-    /// The trace generator that produced the traffic.
-    pub generator: String,
-    /// Accesses replayed through the simulator.
-    pub accesses: u64,
-    /// Simulator hits.
-    pub sim_hits: u64,
-    /// Simulator misses.
-    pub sim_misses: u64,
-    /// Simulator evictions.
-    pub sim_evictions: u64,
-    /// States of the learned machine replayed differentially (0 when the
-    /// request named no job and only the simulator ran).
-    pub machine_states: u64,
-    /// Learned-machine hits (0 without a machine).
-    pub machine_hits: u64,
-    /// Learned-machine misses (0 without a machine).
-    pub machine_misses: u64,
-    /// Whether simulator and machine disagreed on any access.
-    pub diverged: bool,
-    /// Rendered first divergence (empty when none).
-    pub divergence: String,
+wire_struct! {
+    /// One query-store namespace (a distinct backend configuration) and its
+    /// size, as reported by the `stats` command.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireNamespace {
+        /// The rendered backend configuration.
+        name: String,
+        /// Cached access prefixes (trie nodes) in the namespace.
+        entries: u64,
+        /// Estimated heap footprint of the namespace's trie, in bytes.
+        bytes: u64,
+        /// Lifetime lookups served from this namespace (survives eviction).
+        hits: u64,
+        /// Lifetime lookups that missed in this namespace.
+        misses: u64,
+    }
 }
 
-/// One leader group of a `map` response: its class, the set the campaign
-/// learned, and the learning outcome in flat wire form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireMapGroup {
-    /// Detection class (`thrash-vulnerable` or `thrash-resistant`).
-    pub class: String,
-    /// Number of sets in the group.
-    pub members: u64,
-    /// Set index of the learned representative.
-    pub representative_set: u64,
-    /// Slice index of the learned representative.
-    pub representative_slice: u64,
-    /// The query-store namespace the campaign filled (the dedupe key).
-    pub namespace: String,
-    /// Outcome kind (`learned`, `not-deterministic` or `failed`).
-    pub outcome: String,
-    /// States of the learned automaton (0 unless `learned`).
-    pub states: u64,
-    /// Membership queries the campaign issued (0 unless `learned`).
-    pub queries: u64,
-    /// Library policy the automaton was identified as (empty if none).
-    pub identified: String,
-    /// Statistical disagreement in permille (0 unless `not-deterministic`).
-    pub disagreement_permille: u64,
-    /// Human-readable detail: the non-determinism evidence or the error.
-    pub detail: String,
+wire_struct! {
+    /// Result of a server-side trace replay.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireReplay {
+        /// The policy spec that was replayed.
+        spec: String,
+        /// The trace generator that produced the traffic.
+        generator: String,
+        /// Accesses replayed through the simulator.
+        accesses: u64,
+        /// Simulator hits.
+        sim_hits: u64,
+        /// Simulator misses.
+        sim_misses: u64,
+        /// Simulator evictions.
+        sim_evictions: u64,
+        /// States of the learned machine replayed differentially (0 when
+        /// the request named no job and only the simulator ran).
+        machine_states: u64,
+        /// Learned-machine hits (0 without a machine).
+        machine_hits: u64,
+        /// Learned-machine misses (0 without a machine).
+        machine_misses: u64,
+        /// Whether simulator and machine disagreed on any access.
+        diverged: bool,
+        /// Rendered first divergence (empty when none).
+        divergence: String,
+    }
 }
 
-/// One mapped set of a `map` response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireMapSet {
-    /// Set index within the slice.
-    pub set: u64,
-    /// Slice index.
-    pub slice: u64,
-    /// Detection class (`thrash-vulnerable`, `thrash-resistant` or
-    /// `adaptive`).
-    pub class: String,
-    /// Verdict kind (`fixed`, `fixed-nondet`, `adaptive` or `unmapped`).
-    pub verdict: String,
-    /// Identified policy of a `fixed` set (empty if unidentified).
-    pub policy: String,
-    /// States of a `fixed` set's learned automaton (0 otherwise).
-    pub states: u64,
-    /// Statistical evidence in permille: vote disagreement for
-    /// `fixed-nondet`, flip-probe disagreement for `adaptive` (0 otherwise).
-    pub disagreement_permille: u64,
-    /// The rendered error of an `unmapped` set (empty otherwise).
-    pub detail: String,
+wire_struct! {
+    /// One leader group of a `map` response: its class, the set the
+    /// campaign learned, and the learning outcome in flat wire form.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireMapGroup {
+        /// Detection class (`thrash-vulnerable` or `thrash-resistant`).
+        class: String,
+        /// Number of sets in the group.
+        members: u64,
+        /// Set index of the learned representative.
+        representative_set: u64,
+        /// Slice index of the learned representative.
+        representative_slice: u64,
+        /// The query-store namespace the campaign filled (the dedupe key).
+        namespace: String,
+        /// Outcome kind (`learned`, `not-deterministic` or `failed`).
+        outcome: String,
+        /// States of the learned automaton (0 unless `learned`).
+        states: u64,
+        /// Membership queries the campaign issued (0 unless `learned`).
+        queries: u64,
+        /// Library policy the automaton was identified as (empty if none).
+        identified: String,
+        /// Statistical disagreement in permille (0 unless
+        /// `not-deterministic`).
+        disagreement_permille: u64,
+        /// Human-readable detail: the non-determinism evidence or the
+        /// error.
+        detail: String,
+    }
 }
 
-/// The complete cache map returned by a `map` request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireCacheMap {
-    /// Short name of the mapped CPU model.
-    pub model: String,
-    /// The mapped cache level (`L3`).
-    pub level: String,
-    /// CAT restriction in effect during the campaign, if any.
-    pub cat: Option<u64>,
-    /// Per-group learning outcomes.
-    pub groups: Vec<WireMapGroup>,
-    /// One entry per mapped set.
-    pub sets: Vec<WireMapSet>,
+wire_struct! {
+    /// One mapped set of a `map` response.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireMapSet {
+        /// Set index within the slice.
+        set: u64,
+        /// Slice index.
+        slice: u64,
+        /// Detection class (`thrash-vulnerable`, `thrash-resistant` or
+        /// `adaptive`).
+        class: String,
+        /// Verdict kind (`fixed`, `fixed-nondet`, `adaptive` or
+        /// `unmapped`).
+        verdict: String,
+        /// Identified policy of a `fixed` set (empty if unidentified).
+        policy: String,
+        /// States of a `fixed` set's learned automaton (0 otherwise).
+        states: u64,
+        /// Statistical evidence in permille: vote disagreement for
+        /// `fixed-nondet`, flip-probe disagreement for `adaptive` (0
+        /// otherwise).
+        disagreement_permille: u64,
+        /// The rendered error of an `unmapped` set (empty otherwise).
+        detail: String,
+    }
 }
 
-/// Counters of one session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireSessionStats {
-    /// Concrete queries answered for this session.
-    pub queries: u64,
-    /// Of those, answers served from the shared store.
-    pub store_hits: u64,
+wire_struct! {
+    /// The complete cache map returned by a `map` request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireCacheMap {
+        /// Short name of the mapped CPU model.
+        model: String,
+        /// The mapped cache level (`L3`).
+        level: String,
+        /// CAT restriction in effect during the campaign, if any.
+        cat: Option<u64>,
+        /// Per-group learning outcomes.
+        groups: Vec<WireMapGroup>,
+        /// One entry per mapped set.
+        sets: Vec<WireMapSet>,
+    }
 }
 
-/// A response from the daemon to a client.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Handshake reply.
-    Hello {
-        /// Server name (`cqd`).
-        server: String,
-        /// Protocol version.
-        proto: u64,
-        /// Worker-pool size.
-        workers: u64,
-    },
-    /// Generic success with a human-readable message.
-    Done {
-        /// The message.
-        message: String,
-    },
-    /// Results of one MBL expression.
-    Outcomes {
-        /// One entry per expanded concrete query.
-        results: Vec<WireOutcome>,
-    },
-    /// Results of a batch, grouped per expression.
-    Batch {
-        /// One group per expression, in request order.
-        groups: Vec<Vec<WireOutcome>>,
-    },
-    /// A learning job was started.
-    JobStarted {
-        /// Its id.
-        id: u64,
-    },
-    /// A learning-job status line.
-    JobStatus(WireJobStatus),
-    /// Result of a `replay` request.
-    Replay(WireReplay),
-    /// Result of a `map` request.
-    Map(WireCacheMap),
-    /// Metrics reply.
-    Stats {
-        /// Daemon-wide counters.
-        global: WireStats,
-        /// This session's counters.
-        session: WireSessionStats,
-        /// Per-namespace entry counts of the shared query store.
-        namespaces: Vec<WireNamespace>,
-    },
-    /// The daemon's metrics registry.
-    Metrics {
-        /// Prometheus-style text exposition of every metric.
-        text: String,
-        /// Typed snapshots of the same metrics, sorted by name.
-        metrics: Vec<WireMetric>,
-    },
-    /// The request failed.
-    Error {
-        /// Why.
-        message: String,
-    },
-    /// Session closed.
-    Bye,
+wire_struct! {
+    /// Counters of one session.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct WireSessionStats {
+        /// Concrete queries answered for this session.
+        queries: u64,
+        /// Of those, answers served from the shared store.
+        store_hits: u64,
+    }
 }
 
-fn spec_to_json(spec: &SessionSpec) -> Vec<(&'static str, Json)> {
-    vec![
-        ("model", Json::str(&spec.model)),
-        ("seed", Json::num(spec.seed)),
-        ("level", Json::str(&spec.level)),
-        ("set", Json::num(spec.set)),
-        ("slice", Json::num(spec.slice)),
-        ("cat", spec.cat.map_or(Json::Null, Json::num)),
-        ("reps", Json::num(spec.reps)),
-        ("reset", Json::str(&spec.reset)),
-        (
-            "policy",
-            spec.policy.as_deref().map_or(Json::Null, Json::str),
-        ),
-    ]
+wire_enum! {
+    /// A response from the daemon to a client.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response tagged "resp", unknown "response" {
+        /// Handshake reply.
+        "hello" => Hello {
+            /// Server name (`cqd`).
+            server: String,
+            /// Protocol version.
+            proto: u64,
+            /// Worker-pool size.
+            workers: u64,
+        },
+        /// Generic success with a human-readable message.
+        "done" => Done {
+            /// The message.
+            message: String,
+        },
+        /// Results of one MBL expression.
+        "outcomes" => Outcomes {
+            /// One entry per expanded concrete query.
+            results: Vec<WireOutcome>,
+        },
+        /// Results of a batch, grouped per expression.
+        "batch" => Batch {
+            /// One group per expression, in request order.
+            groups: Vec<Vec<WireOutcome>>,
+        },
+        /// A learning job was started.
+        "job" => JobStarted {
+            /// Its id.
+            id: u64,
+        },
+        /// A learning-job status line.
+        "status" => JobStatus(WireJobStatus),
+        /// Result of a `replay` request.
+        "replay" => Replay(WireReplay),
+        /// Result of a `map` request.
+        "map" => Map(WireCacheMap),
+        /// Metrics reply.
+        "stats" => Stats {
+            /// Daemon-wide counters.
+            global: WireStats,
+            /// This session's counters.
+            session: WireSessionStats,
+            /// Per-namespace entry counts of the shared query store.
+            namespaces: Vec<WireNamespace>,
+        },
+        /// The daemon's metrics registry.
+        "metrics" => Metrics {
+            /// Prometheus-style text exposition of every metric.
+            text: String,
+            /// Typed snapshots of the same metrics, sorted by name.
+            metrics: Vec<WireMetric>,
+        },
+        /// The request failed.
+        "error" => Error {
+            /// Why.
+            message: String,
+        },
+        /// Session closed.
+        "bye" => Bye,
+    }
 }
 
-fn get_str(value: &Json, key: &str) -> Result<String, ProtoError> {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| err(format!("missing string field '{key}'")))
-}
-
-fn get_u64(value: &Json, key: &str) -> Result<u64, ProtoError> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| err(format!("missing integer field '{key}'")))
-}
-
-fn get_bool(value: &Json, key: &str) -> Result<bool, ProtoError> {
-    value
-        .get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| err(format!("missing boolean field '{key}'")))
-}
-
-fn get_f64(value: &Json, key: &str) -> Result<f64, ProtoError> {
-    value
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| err(format!("missing number field '{key}'")))
-}
-
-fn spec_from_json(value: &Json) -> Result<SessionSpec, ProtoError> {
-    let cat = match value.get("cat") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| err("'cat' must be an integer"))?),
-    };
-    let policy = match value.get("policy") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| err("'policy' must be a string"))?,
-        ),
-    };
-    Ok(SessionSpec {
-        model: get_str(value, "model")?,
-        seed: get_u64(value, "seed")?,
-        level: get_str(value, "level")?,
-        set: get_u64(value, "set")?,
-        slice: get_u64(value, "slice")?,
-        cat,
-        reps: get_u64(value, "reps")?,
-        reset: get_str(value, "reset")?,
-        policy,
-    })
-}
-
-fn outcome_to_json(outcome: &WireOutcome) -> Json {
-    Json::obj(vec![
-        ("query", Json::str(&outcome.query)),
-        ("pattern", Json::str(&outcome.pattern)),
-        ("consistent", Json::Bool(outcome.consistent)),
-        ("cached", Json::Bool(outcome.cached)),
-    ])
-}
-
-fn outcome_from_json(value: &Json) -> Result<WireOutcome, ProtoError> {
-    Ok(WireOutcome {
-        query: get_str(value, "query")?,
-        pattern: get_str(value, "pattern")?,
-        consistent: get_bool(value, "consistent")?,
-        cached: get_bool(value, "cached")?,
-    })
-}
-
-fn status_to_json(status: &WireJobStatus) -> Vec<(&'static str, Json)> {
-    vec![
-        ("id", Json::num(status.id)),
-        ("state", Json::str(&status.state)),
-        ("detail", Json::str(&status.detail)),
-        ("final", Json::Bool(status.finished)),
-        ("states", Json::num(status.states)),
-        ("queries", Json::num(status.queries)),
-        ("hit_rate", Json::Num(status.hit_rate)),
-        ("millis", Json::num(status.millis)),
-        (
-            "phases",
-            Json::Arr(
-                status
-                    .phases
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("name", Json::str(&p.name)),
-                            ("queries", Json::num(p.queries)),
-                            ("millis", Json::num(p.millis)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]
-}
-
-fn status_from_json(value: &Json) -> Result<WireJobStatus, ProtoError> {
-    let phases = value
-        .get("phases")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err("missing array field 'phases'"))?
-        .iter()
-        .map(|p| {
-            Ok(WirePhase {
-                name: get_str(p, "name")?,
-                queries: get_u64(p, "queries")?,
-                millis: get_u64(p, "millis")?,
-            })
-        })
-        .collect::<Result<Vec<_>, ProtoError>>()?;
-    Ok(WireJobStatus {
-        id: get_u64(value, "id")?,
-        state: get_str(value, "state")?,
-        detail: get_str(value, "detail")?,
-        finished: get_bool(value, "final")?,
-        states: get_u64(value, "states")?,
-        queries: get_u64(value, "queries")?,
-        hit_rate: get_f64(value, "hit_rate")?,
-        millis: get_u64(value, "millis")?,
-        phases,
-    })
-}
-
-fn metric_to_json(metric: &WireMetric) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(&metric.name)),
-        ("kind", Json::str(&metric.kind)),
-        ("value", Json::num(metric.value)),
-        ("sum", Json::num(metric.sum)),
-        ("min", Json::num(metric.min)),
-        ("max", Json::num(metric.max)),
-        ("p50", Json::num(metric.p50)),
-        ("p90", Json::num(metric.p90)),
-        ("p99", Json::num(metric.p99)),
-    ])
-}
-
-fn metric_from_json(value: &Json) -> Result<WireMetric, ProtoError> {
-    Ok(WireMetric {
-        name: get_str(value, "name")?,
-        kind: get_str(value, "kind")?,
-        value: get_u64(value, "value")?,
-        sum: get_u64(value, "sum")?,
-        min: get_u64(value, "min")?,
-        max: get_u64(value, "max")?,
-        p50: get_u64(value, "p50")?,
-        p90: get_u64(value, "p90")?,
-        p99: get_u64(value, "p99")?,
-    })
-}
-
-fn map_group_to_json(group: &WireMapGroup) -> Json {
-    Json::obj(vec![
-        ("class", Json::str(&group.class)),
-        ("members", Json::num(group.members)),
-        ("representative_set", Json::num(group.representative_set)),
-        (
-            "representative_slice",
-            Json::num(group.representative_slice),
-        ),
-        ("namespace", Json::str(&group.namespace)),
-        ("outcome", Json::str(&group.outcome)),
-        ("states", Json::num(group.states)),
-        ("queries", Json::num(group.queries)),
-        ("identified", Json::str(&group.identified)),
-        (
-            "disagreement_permille",
-            Json::num(group.disagreement_permille),
-        ),
-        ("detail", Json::str(&group.detail)),
-    ])
-}
-
-fn map_group_from_json(value: &Json) -> Result<WireMapGroup, ProtoError> {
-    Ok(WireMapGroup {
-        class: get_str(value, "class")?,
-        members: get_u64(value, "members")?,
-        representative_set: get_u64(value, "representative_set")?,
-        representative_slice: get_u64(value, "representative_slice")?,
-        namespace: get_str(value, "namespace")?,
-        outcome: get_str(value, "outcome")?,
-        states: get_u64(value, "states")?,
-        queries: get_u64(value, "queries")?,
-        identified: get_str(value, "identified")?,
-        disagreement_permille: get_u64(value, "disagreement_permille")?,
-        detail: get_str(value, "detail")?,
-    })
-}
-
-fn map_set_to_json(set: &WireMapSet) -> Json {
-    Json::obj(vec![
-        ("set", Json::num(set.set)),
-        ("slice", Json::num(set.slice)),
-        ("class", Json::str(&set.class)),
-        ("verdict", Json::str(&set.verdict)),
-        ("policy", Json::str(&set.policy)),
-        ("states", Json::num(set.states)),
-        (
-            "disagreement_permille",
-            Json::num(set.disagreement_permille),
-        ),
-        ("detail", Json::str(&set.detail)),
-    ])
-}
-
-fn map_set_from_json(value: &Json) -> Result<WireMapSet, ProtoError> {
-    Ok(WireMapSet {
-        set: get_u64(value, "set")?,
-        slice: get_u64(value, "slice")?,
-        class: get_str(value, "class")?,
-        verdict: get_str(value, "verdict")?,
-        policy: get_str(value, "policy")?,
-        states: get_u64(value, "states")?,
-        disagreement_permille: get_u64(value, "disagreement_permille")?,
-        detail: get_str(value, "detail")?,
-    })
-}
-
-fn stats_to_json(stats: &WireStats) -> Json {
-    Json::obj(vec![
-        ("sessions_active", Json::num(stats.sessions_active)),
-        ("sessions_total", Json::num(stats.sessions_total)),
-        ("queries", Json::num(stats.queries)),
-        ("store_hits", Json::num(stats.store_hits)),
-        ("backend_queries", Json::num(stats.backend_queries)),
-        ("uptime_ms", Json::num(stats.uptime_ms)),
-        ("request_p50_ns", Json::num(stats.request_p50_ns)),
-        ("request_p99_ns", Json::num(stats.request_p99_ns)),
-        ("request_max_ns", Json::num(stats.request_max_ns)),
-        ("jobs_spawned", Json::num(stats.jobs_spawned)),
-        ("jobs_finished", Json::num(stats.jobs_finished)),
-        ("busy_workers", Json::num(stats.busy_workers)),
-        ("workers", Json::num(stats.workers)),
-        ("store_conflicts", Json::num(stats.store_conflicts)),
-        ("store_entries", Json::num(stats.store_entries)),
-        ("store_evictions", Json::num(stats.store_evictions)),
-        ("persist_appended", Json::num(stats.persist_appended)),
-        ("persist_dropped", Json::num(stats.persist_dropped)),
-        ("persist_snapshots", Json::num(stats.persist_snapshots)),
-        ("persist_replayed", Json::num(stats.persist_replayed)),
-        ("lock_poisoned", Json::num(stats.lock_poisoned)),
-        ("votes", Json::num(stats.votes)),
-        ("vote_executions", Json::num(stats.vote_executions)),
-        ("vote_escalations", Json::num(stats.vote_escalations)),
-        ("vote_unsettled", Json::num(stats.vote_unsettled)),
-        (
-            "vote_min_margin_permille",
-            Json::num(stats.vote_min_margin_permille),
-        ),
-    ])
-}
-
-fn stats_from_json(value: &Json) -> Result<WireStats, ProtoError> {
-    Ok(WireStats {
-        sessions_active: get_u64(value, "sessions_active")?,
-        sessions_total: get_u64(value, "sessions_total")?,
-        queries: get_u64(value, "queries")?,
-        store_hits: get_u64(value, "store_hits")?,
-        backend_queries: get_u64(value, "backend_queries")?,
-        uptime_ms: get_u64(value, "uptime_ms")?,
-        request_p50_ns: get_u64(value, "request_p50_ns")?,
-        request_p99_ns: get_u64(value, "request_p99_ns")?,
-        request_max_ns: get_u64(value, "request_max_ns")?,
-        jobs_spawned: get_u64(value, "jobs_spawned")?,
-        jobs_finished: get_u64(value, "jobs_finished")?,
-        busy_workers: get_u64(value, "busy_workers")?,
-        workers: get_u64(value, "workers")?,
-        store_conflicts: get_u64(value, "store_conflicts")?,
-        store_entries: get_u64(value, "store_entries")?,
-        store_evictions: get_u64(value, "store_evictions")?,
-        persist_appended: get_u64(value, "persist_appended")?,
-        persist_dropped: get_u64(value, "persist_dropped")?,
-        persist_snapshots: get_u64(value, "persist_snapshots")?,
-        persist_replayed: get_u64(value, "persist_replayed")?,
-        lock_poisoned: get_u64(value, "lock_poisoned")?,
-        votes: get_u64(value, "votes")?,
-        vote_executions: get_u64(value, "vote_executions")?,
-        vote_escalations: get_u64(value, "vote_escalations")?,
-        vote_unsettled: get_u64(value, "vote_unsettled")?,
-        vote_min_margin_permille: get_u64(value, "vote_min_margin_permille")?,
-    })
+fn parse_line(line: &str) -> Result<Json, ProtoError> {
+    Json::parse(line.trim()).map_err(|e| err(e.to_string()))
 }
 
 /// Encodes a request as one JSON line (without the trailing newline).
 pub fn encode_request(request: &Request) -> String {
-    let json = match request {
-        Request::Hello => Json::obj(vec![("cmd", Json::str("hello"))]),
-        Request::Target(spec) => {
-            let mut pairs = vec![("cmd", Json::str("target"))];
-            pairs.extend(spec_to_json(spec));
-            Json::obj(pairs)
-        }
-        Request::Query { mbl } => {
-            Json::obj(vec![("cmd", Json::str("query")), ("mbl", Json::str(mbl))])
-        }
-        Request::Batch { exprs } => Json::obj(vec![
-            ("cmd", Json::str("batch")),
-            ("exprs", Json::Arr(exprs.iter().map(Json::str).collect())),
-        ]),
-        Request::Repl { line } => {
-            Json::obj(vec![("cmd", Json::str("repl")), ("line", Json::str(line))])
-        }
-        Request::Learn { spec } => {
-            Json::obj(vec![("cmd", Json::str("learn")), ("spec", Json::str(spec))])
-        }
-        Request::Replay {
-            spec,
-            generator,
-            accesses,
-            lines,
-            seed,
-            job,
-        } => Json::obj(vec![
-            ("cmd", Json::str("replay")),
-            ("spec", Json::str(spec)),
-            ("generator", Json::str(generator)),
-            ("accesses", Json::num(*accesses)),
-            ("lines", Json::num(*lines)),
-            ("seed", Json::num(*seed)),
-            ("job", job.map_or(Json::Null, Json::num)),
-        ]),
-        Request::Map {
-            model,
-            seed,
-            cat,
-            slice,
-            sets,
-        } => Json::obj(vec![
-            ("cmd", Json::str("map")),
-            ("model", Json::str(model)),
-            ("seed", Json::num(*seed)),
-            ("cat", cat.map_or(Json::Null, Json::num)),
-            ("slice", Json::num(*slice)),
-            ("sets", Json::num(*sets)),
-        ]),
-        Request::Job { id } => Json::obj(vec![("cmd", Json::str("job")), ("id", Json::num(*id))]),
-        Request::Wait { id } => Json::obj(vec![("cmd", Json::str("wait")), ("id", Json::num(*id))]),
-        Request::Stats => Json::obj(vec![("cmd", Json::str("stats"))]),
-        Request::Metrics => Json::obj(vec![("cmd", Json::str("metrics"))]),
-        Request::Persist => Json::obj(vec![("cmd", Json::str("persist"))]),
-        Request::Quit => Json::obj(vec![("cmd", Json::str("quit"))]),
-    };
-    json.render()
+    request.to_json().render()
 }
 
 /// Decodes one request line.
@@ -931,195 +852,12 @@ pub fn encode_request(request: &Request) -> String {
 /// Returns a [`ProtoError`] for malformed JSON, unknown commands, or missing
 /// fields.
 pub fn decode_request(line: &str) -> Result<Request, ProtoError> {
-    let value = Json::parse(line.trim()).map_err(|e| err(e.to_string()))?;
-    let cmd = get_str(&value, "cmd")?;
-    match cmd.as_str() {
-        "hello" => Ok(Request::Hello),
-        "target" => Ok(Request::Target(spec_from_json(&value)?)),
-        "query" => Ok(Request::Query {
-            mbl: get_str(&value, "mbl")?,
-        }),
-        "batch" => {
-            let exprs = value
-                .get("exprs")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err("missing array field 'exprs'"))?;
-            let exprs = exprs
-                .iter()
-                .map(|e| {
-                    e.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| err("'exprs' must contain strings"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Request::Batch { exprs })
-        }
-        "repl" => Ok(Request::Repl {
-            line: get_str(&value, "line")?,
-        }),
-        "learn" => Ok(Request::Learn {
-            spec: get_str(&value, "spec")?,
-        }),
-        "replay" => {
-            let job = match value.get("job") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| err("'job' must be an integer"))?),
-            };
-            Ok(Request::Replay {
-                spec: get_str(&value, "spec")?,
-                generator: get_str(&value, "generator")?,
-                accesses: get_u64(&value, "accesses")?,
-                lines: get_u64(&value, "lines")?,
-                seed: get_u64(&value, "seed")?,
-                job,
-            })
-        }
-        "map" => {
-            let cat = match value.get("cat") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| err("'cat' must be an integer"))?),
-            };
-            Ok(Request::Map {
-                model: get_str(&value, "model")?,
-                seed: get_u64(&value, "seed")?,
-                cat,
-                slice: get_u64(&value, "slice")?,
-                sets: get_u64(&value, "sets")?,
-            })
-        }
-        "job" => Ok(Request::Job {
-            id: get_u64(&value, "id")?,
-        }),
-        "wait" => Ok(Request::Wait {
-            id: get_u64(&value, "id")?,
-        }),
-        "stats" => Ok(Request::Stats),
-        "metrics" => Ok(Request::Metrics),
-        "persist" => Ok(Request::Persist),
-        "quit" => Ok(Request::Quit),
-        other => Err(err(format!("unknown command '{other}'"))),
-    }
+    Request::from_json(&parse_line(line)?)
 }
 
 /// Encodes a response as one JSON line (without the trailing newline).
 pub fn encode_response(response: &Response) -> String {
-    let json = match response {
-        Response::Hello {
-            server,
-            proto,
-            workers,
-        } => Json::obj(vec![
-            ("resp", Json::str("hello")),
-            ("server", Json::str(server)),
-            ("proto", Json::num(*proto)),
-            ("workers", Json::num(*workers)),
-        ]),
-        Response::Done { message } => Json::obj(vec![
-            ("resp", Json::str("done")),
-            ("message", Json::str(message)),
-        ]),
-        Response::Outcomes { results } => Json::obj(vec![
-            ("resp", Json::str("outcomes")),
-            (
-                "results",
-                Json::Arr(results.iter().map(outcome_to_json).collect()),
-            ),
-        ]),
-        Response::Batch { groups } => Json::obj(vec![
-            ("resp", Json::str("batch")),
-            (
-                "groups",
-                Json::Arr(
-                    groups
-                        .iter()
-                        .map(|g| Json::Arr(g.iter().map(outcome_to_json).collect()))
-                        .collect(),
-                ),
-            ),
-        ]),
-        Response::JobStarted { id } => {
-            Json::obj(vec![("resp", Json::str("job")), ("id", Json::num(*id))])
-        }
-        Response::JobStatus(status) => {
-            let mut pairs = vec![("resp", Json::str("status"))];
-            pairs.extend(status_to_json(status));
-            Json::obj(pairs)
-        }
-        Response::Replay(replay) => Json::obj(vec![
-            ("resp", Json::str("replay")),
-            ("spec", Json::str(&replay.spec)),
-            ("generator", Json::str(&replay.generator)),
-            ("accesses", Json::num(replay.accesses)),
-            ("sim_hits", Json::num(replay.sim_hits)),
-            ("sim_misses", Json::num(replay.sim_misses)),
-            ("sim_evictions", Json::num(replay.sim_evictions)),
-            ("machine_states", Json::num(replay.machine_states)),
-            ("machine_hits", Json::num(replay.machine_hits)),
-            ("machine_misses", Json::num(replay.machine_misses)),
-            ("diverged", Json::Bool(replay.diverged)),
-            ("divergence", Json::str(&replay.divergence)),
-        ]),
-        Response::Map(map) => Json::obj(vec![
-            ("resp", Json::str("map")),
-            ("model", Json::str(&map.model)),
-            ("level", Json::str(&map.level)),
-            ("cat", map.cat.map_or(Json::Null, Json::num)),
-            (
-                "groups",
-                Json::Arr(map.groups.iter().map(map_group_to_json).collect()),
-            ),
-            (
-                "sets",
-                Json::Arr(map.sets.iter().map(map_set_to_json).collect()),
-            ),
-        ]),
-        Response::Stats {
-            global,
-            session,
-            namespaces,
-        } => Json::obj(vec![
-            ("resp", Json::str("stats")),
-            ("global", stats_to_json(global)),
-            (
-                "session",
-                Json::obj(vec![
-                    ("queries", Json::num(session.queries)),
-                    ("store_hits", Json::num(session.store_hits)),
-                ]),
-            ),
-            (
-                "namespaces",
-                Json::Arr(
-                    namespaces
-                        .iter()
-                        .map(|ns| {
-                            Json::obj(vec![
-                                ("name", Json::str(&ns.name)),
-                                ("entries", Json::num(ns.entries)),
-                                ("bytes", Json::num(ns.bytes)),
-                                ("hits", Json::num(ns.hits)),
-                                ("misses", Json::num(ns.misses)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Response::Metrics { text, metrics } => Json::obj(vec![
-            ("resp", Json::str("metrics")),
-            ("text", Json::str(text)),
-            (
-                "metrics",
-                Json::Arr(metrics.iter().map(metric_to_json).collect()),
-            ),
-        ]),
-        Response::Error { message } => Json::obj(vec![
-            ("resp", Json::str("error")),
-            ("message", Json::str(message)),
-        ]),
-        Response::Bye => Json::obj(vec![("resp", Json::str("bye"))]),
-    };
-    json.render()
+    response.to_json().render()
 }
 
 /// Decodes one response line.
@@ -1129,140 +867,7 @@ pub fn encode_response(response: &Response) -> String {
 /// Returns a [`ProtoError`] for malformed JSON, unknown response kinds, or
 /// missing fields.
 pub fn decode_response(line: &str) -> Result<Response, ProtoError> {
-    let value = Json::parse(line.trim()).map_err(|e| err(e.to_string()))?;
-    let resp = get_str(&value, "resp")?;
-    match resp.as_str() {
-        "hello" => Ok(Response::Hello {
-            server: get_str(&value, "server")?,
-            proto: get_u64(&value, "proto")?,
-            workers: get_u64(&value, "workers")?,
-        }),
-        "done" => Ok(Response::Done {
-            message: get_str(&value, "message")?,
-        }),
-        "outcomes" => {
-            let results = value
-                .get("results")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err("missing array field 'results'"))?;
-            Ok(Response::Outcomes {
-                results: results
-                    .iter()
-                    .map(outcome_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            })
-        }
-        "batch" => {
-            let groups = value
-                .get("groups")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err("missing array field 'groups'"))?;
-            let groups = groups
-                .iter()
-                .map(|g| {
-                    g.as_arr()
-                        .ok_or_else(|| err("'groups' must contain arrays"))?
-                        .iter()
-                        .map(outcome_from_json)
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Response::Batch { groups })
-        }
-        "job" => Ok(Response::JobStarted {
-            id: get_u64(&value, "id")?,
-        }),
-        "status" => Ok(Response::JobStatus(status_from_json(&value)?)),
-        "replay" => Ok(Response::Replay(WireReplay {
-            spec: get_str(&value, "spec")?,
-            generator: get_str(&value, "generator")?,
-            accesses: get_u64(&value, "accesses")?,
-            sim_hits: get_u64(&value, "sim_hits")?,
-            sim_misses: get_u64(&value, "sim_misses")?,
-            sim_evictions: get_u64(&value, "sim_evictions")?,
-            machine_states: get_u64(&value, "machine_states")?,
-            machine_hits: get_u64(&value, "machine_hits")?,
-            machine_misses: get_u64(&value, "machine_misses")?,
-            diverged: get_bool(&value, "diverged")?,
-            divergence: get_str(&value, "divergence")?,
-        })),
-        "map" => {
-            let cat = match value.get("cat") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| err("'cat' must be an integer"))?),
-            };
-            let groups = value
-                .get("groups")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err("missing array field 'groups'"))?
-                .iter()
-                .map(map_group_from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            let sets = value
-                .get("sets")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err("missing array field 'sets'"))?
-                .iter()
-                .map(map_set_from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Response::Map(WireCacheMap {
-                model: get_str(&value, "model")?,
-                level: get_str(&value, "level")?,
-                cat,
-                groups,
-                sets,
-            }))
-        }
-        "stats" => {
-            let global = value
-                .get("global")
-                .ok_or_else(|| err("missing object field 'global'"))?;
-            let session = value
-                .get("session")
-                .ok_or_else(|| err("missing object field 'session'"))?;
-            let namespaces = value
-                .get("namespaces")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err("missing array field 'namespaces'"))?
-                .iter()
-                .map(|ns| {
-                    Ok(WireNamespace {
-                        name: get_str(ns, "name")?,
-                        entries: get_u64(ns, "entries")?,
-                        bytes: get_u64(ns, "bytes")?,
-                        hits: get_u64(ns, "hits")?,
-                        misses: get_u64(ns, "misses")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ProtoError>>()?;
-            Ok(Response::Stats {
-                global: stats_from_json(global)?,
-                session: WireSessionStats {
-                    queries: get_u64(session, "queries")?,
-                    store_hits: get_u64(session, "store_hits")?,
-                },
-                namespaces,
-            })
-        }
-        "metrics" => {
-            let metrics = value
-                .get("metrics")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err("missing array field 'metrics'"))?
-                .iter()
-                .map(metric_from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Response::Metrics {
-                text: get_str(&value, "text")?,
-                metrics,
-            })
-        }
-        "error" => Ok(Response::Error {
-            message: get_str(&value, "message")?,
-        }),
-        "bye" => Ok(Response::Bye),
-        other => Err(err(format!("unknown response '{other}'"))),
-    }
+    Response::from_json(&parse_line(line)?)
 }
 
 #[cfg(test)]
@@ -1563,6 +1168,38 @@ mod tests {
             let line = encode_response(&response);
             assert!(!line.contains('\n'));
             assert_eq!(decode_response(&line).unwrap(), response, "line: {line}");
+        }
+    }
+
+    #[test]
+    fn seeds_beyond_2_pow_53_round_trip_exactly() {
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let requests = [
+                Request::Target(SessionSpec {
+                    seed,
+                    ..SessionSpec::default()
+                }),
+                Request::Map {
+                    model: "skylake".into(),
+                    seed,
+                    cat: None,
+                    slice: 0,
+                    sets: 8,
+                },
+                Request::Replay {
+                    spec: "LRU@2".into(),
+                    generator: "zipfian".into(),
+                    accesses: 10,
+                    lines: 4,
+                    seed,
+                    job: Some(seed),
+                },
+            ];
+            for request in requests {
+                let line = encode_request(&request);
+                assert!(line.contains(&format!("\"seed\":{seed}")), "{line}");
+                assert_eq!(decode_request(&line).unwrap(), request, "line: {line}");
+            }
         }
     }
 

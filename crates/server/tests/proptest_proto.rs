@@ -46,7 +46,7 @@ fn session_spec() -> impl Strategy<Value = SessionSpec> {
             Just("haswell".to_string()),
             wire_string(),
         ],
-        0u64..1000,
+        0u64..=u64::MAX,
         (
             prop_oneof![
                 Just("L1".to_string()),
@@ -93,7 +93,7 @@ fn request() -> impl Strategy<Value = Request> {
         (
             wire_string(),
             wire_string(),
-            (0u64..1_000_000, 0u64..100_000, 0u64..1000),
+            (0u64..1_000_000, 0u64..100_000, 0u64..=u64::MAX),
             prop_oneof![Just(None), (0u64..100).prop_map(Some)],
         )
             .prop_map(|(spec, generator, (accesses, lines, seed), job)| {
@@ -108,7 +108,7 @@ fn request() -> impl Strategy<Value = Request> {
             }),
         (
             wire_string(),
-            0u64..1000,
+            0u64..=u64::MAX,
             prop_oneof![Just(None), (1u64..16).prop_map(Some)],
             0u64..8,
             0u64..4096,
@@ -489,7 +489,10 @@ fn json_value() -> impl Strategy<Value = Json> {
         Just(Json::Null),
         Just(Json::Bool(true)),
         Just(Json::Bool(false)),
-        (0u64..1_000_000).prop_map(|n| Json::Num(n as f64)),
+        // Integers through the canonical constructor: a non-negative
+        // integer literal parses back as an exact `Json::Int`, never as the
+        // `f64` a `Json::Num(n as f64)` would hold.
+        (0u64..=u64::MAX).prop_map(Json::num),
         Just(Json::Num(-2.5)),
         wire_string().prop_map(Json::Str),
     ];

@@ -16,17 +16,16 @@ use hardware::CpuModel;
 use polca::{identify_policy, learn_hardware_policy, HardwareTarget, LearnSetup};
 use policies::PolicyKind;
 
-fn parse_cpu(name: &str) -> CpuModel {
-    match name.to_ascii_lowercase().as_str() {
-        "haswell" => CpuModel::HaswellI7_4790,
-        "kabylake" | "kaby-lake" => CpuModel::KabyLakeI7_8550U,
-        _ => CpuModel::SkylakeI5_6500,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cpu = parse_cpu(args.first().map(String::as_str).unwrap_or("skylake"));
+    let cpu: CpuModel = args
+        .first()
+        .map_or("skylake", String::as_str)
+        .parse()
+        .unwrap_or_else(|e| {
+            eprintln!("learn_hardware: {e}");
+            std::process::exit(2)
+        });
     let level = args
         .get(1)
         .and_then(|l| LevelId::parse(l))

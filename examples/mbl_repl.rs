@@ -12,11 +12,10 @@ fn main() {
     let cpu_name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "skylake".to_string());
-    let model = match cpu_name.to_ascii_lowercase().as_str() {
-        "haswell" => CpuModel::HaswellI7_4790,
-        "kabylake" | "kaby-lake" => CpuModel::KabyLakeI7_8550U,
-        _ => CpuModel::SkylakeI5_6500,
-    };
+    let model: CpuModel = cpu_name.parse().unwrap_or_else(|e| {
+        eprintln!("mbl_repl: {e}");
+        std::process::exit(2)
+    });
     println!(
         "CacheQuery interactive shell on the simulated {}",
         model.spec().name

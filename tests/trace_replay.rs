@@ -1,6 +1,6 @@
 //! End-to-end trace replay: learned machines vs. their source simulators
 //! under synthetic traffic, pinned hit counts on golden traces, and the
-//! hierarchy/dueling replay invariants.
+//! hierarchy replay invariant.
 //!
 //! Three layers of guarantee:
 //!
@@ -12,22 +12,15 @@
 //!    checked into `tests/fixtures/`: a hand-written pattern mix and a
 //!    generated zipfian trace (which is also pinned byte-for-byte against
 //!    regeneration, so generator drift cannot slip by).
-//! 3. **Composite caches** — replaying through a two-level hierarchy and a
-//!    set-dueling cache preserves their defining invariants: an inclusive
-//!    L2 never loses hits over L1 alone, and dueling followers become the
-//!    winning leader policy.
+//! 3. **Composite caches** — replaying through a two-level hierarchy
+//!    preserves its defining invariant: an inclusive L2 never loses hits
+//!    over L1 alone.
 
-use std::collections::HashMap;
-
-use cache::{
-    AccessResult, Block, CacheGeometry, CacheLevel, CacheSet, DuelingCache, DuelingRole, Hierarchy,
-    HierarchyConfig, HitMiss, LevelConfig, LevelId, PhysAddr,
-};
+use cache::{CacheGeometry, CacheLevel, Hierarchy, HierarchyConfig, LevelConfig, LevelId};
 use polca::{exact_learn_setup, learn_simulated_policy};
 use policies::PolicyKind;
 use trace::{
-    differential_replay, generate, replay, replay_hierarchy, replay_policy, GeneratorKind,
-    ReplayEvent, Replayer, Trace, TraceSpec,
+    differential_replay, generate, replay_hierarchy, replay_policy, GeneratorKind, Trace, TraceSpec,
 };
 
 /// The replay geometry: 16 sets of `assoc` ways.  A 48-line working set
@@ -250,123 +243,4 @@ fn an_inclusive_l2_never_loses_hits_over_l1_alone() {
     assert_eq!(pair_report.memory_accesses, 256);
     let pair_l2 = pair_report.level(LevelId::L2).unwrap();
     assert_eq!(pair_l2.hits, pair_l1.misses - 256);
-}
-
-/// Adapts a composite cache to the [`Replayer`] interface so traces drive
-/// it through [`trace::replay`].
-struct DuelingReplayer(DuelingCache);
-
-impl Replayer for DuelingReplayer {
-    fn access(&mut self, addr: PhysAddr) -> ReplayEvent {
-        match self.0.access(addr) {
-            AccessResult::Hit { .. } => ReplayEvent {
-                outcome: HitMiss::Hit,
-                evicted_line: None,
-            },
-            AccessResult::Miss { line, evicted } => ReplayEvent {
-                outcome: HitMiss::Miss,
-                evicted_line: evicted.map(|_| line),
-            },
-        }
-    }
-}
-
-/// A cold-start single-policy reference: one fresh [`CacheSet`] per touched
-/// set, all running `kind` — what a dueling follower must behave like once
-/// the PSEL counter has settled on `kind`.
-struct FreshSets {
-    kind: PolicyKind,
-    geometry: CacheGeometry,
-    sets: HashMap<usize, CacheSet>,
-}
-
-impl FreshSets {
-    fn new(kind: PolicyKind, geometry: CacheGeometry) -> Self {
-        FreshSets {
-            kind,
-            geometry,
-            sets: HashMap::new(),
-        }
-    }
-}
-
-impl Replayer for FreshSets {
-    fn access(&mut self, addr: PhysAddr) -> ReplayEvent {
-        let (kind, assoc) = (self.kind, self.geometry.associativity);
-        let flat = self.geometry.flat_index(addr);
-        let set = self
-            .sets
-            .entry(flat)
-            .or_insert_with(|| CacheSet::new(kind.build(assoc).unwrap()));
-        let block = Block::new(addr.line_base(self.geometry.line_size).0);
-        match set.access(block) {
-            AccessResult::Hit { .. } => ReplayEvent {
-                outcome: HitMiss::Hit,
-                evicted_line: None,
-            },
-            AccessResult::Miss { line, evicted } => ReplayEvent {
-                outcome: HitMiss::Miss,
-                evicted_line: evicted.map(|_| line),
-            },
-        }
-    }
-}
-
-#[test]
-fn dueling_followers_become_the_winning_policy_under_traffic() {
-    // 2 ways x 16 sets; set 0 leads the primary (LRU), set 1 leads the
-    // alternate (LIP), the remaining 14 sets follow the PSEL counter.
-    let geometry = CacheGeometry::new(2, 16, 1, 64);
-    let mut roles = vec![DuelingRole::Follower; 16];
-    roles[0] = DuelingRole::LeaderPrimary;
-    roles[1] = DuelingRole::LeaderAlternate;
-    let cache = DuelingCache::new(
-        geometry,
-        roles,
-        |_| PolicyKind::Lru.build(2).unwrap(),
-        |_| PolicyKind::Lip.build(2).unwrap(),
-    );
-    let mut dueling = DuelingReplayer(cache);
-
-    // Phase 1: a strided scan whose stride (16 lines) wraps the 16 sets, so
-    // every access lands in set 0 — three congruent lines thrashing the
-    // 2-way primary leader.  Each leader miss tips PSEL towards LIP.
-    let thrash = generate(&TraceSpec {
-        generator: GeneratorKind::Strided,
-        accesses: 60,
-        lines: 48,
-        stride: 16,
-        seed: 2,
-        ..TraceSpec::default()
-    });
-    let thrash_counts = replay(&thrash, &mut dueling);
-    assert_eq!(thrash_counts.hits, 0, "the leader thrash must be hitless");
-    assert!(dueling.0.dueling().followers_use_alternate());
-    let psel_after_thrash = dueling.0.dueling().psel();
-
-    // Phase 2: drive every follower set with the tag pattern A B C D A —
-    // LIP's insert-at-LRU sacrifices each newcomer and pins A (1 hit per
-    // set) where LRU's insert-at-MRU churns everything and goes hitless.
-    // Addresses are tag << 10 | set << 6 for this geometry; sets 2..15
-    // stay followers.
-    let pattern = [0u64, 1, 2, 3, 0];
-    let mut addresses = Vec::new();
-    for &tag in &pattern {
-        for set in 2..16u64 {
-            addresses.push(PhysAddr((tag << 10) | (set << 6)));
-        }
-    }
-    let followers = Trace::new(addresses);
-
-    let follower_counts = replay(&followers, &mut dueling);
-    let lip_counts = replay(&followers, &mut FreshSets::new(PolicyKind::Lip, geometry));
-    let lru_counts = replay(&followers, &mut FreshSets::new(PolicyKind::Lru, geometry));
-
-    // The followers are exactly the winning (alternate) policy, and the
-    // two candidate policies genuinely disagree on this pattern.
-    assert_eq!(follower_counts, lip_counts);
-    assert_eq!(lip_counts.hits, 14);
-    assert_eq!(lru_counts.hits, 0);
-    // Follower misses never move PSEL.
-    assert_eq!(dueling.0.dueling().psel(), psel_after_thrash);
 }
